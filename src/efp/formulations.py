@@ -86,9 +86,6 @@ class MipModel:
                         f"constraint {con.name} references undeclared variable {name}"
                     )
 
-    def variable_map(self) -> dict[str, Variable]:
-        return {v.name: v for v in self.variables}
-
 
 def _x(i: int, b: int) -> str:
     return f"x_{i + 1}_{b + 1}"

@@ -9,6 +9,11 @@ the starting point violates; a crash start can place selected variables at
 their upper bound, which for the pricing models makes the slack basis
 feasible and skips phase 1 entirely.
 
+The tableau is never refactorised, so drift can end a run at a basis whose
+point breaks the rows.  An "optimal" point is therefore checked against the
+rows and bounds before it is returned; one that fails is re-solved from the
+slack basis, and a second failure is status "numerical" with the first point.
+
 Pricing is Devex (approximate steepest edge); Bland's rule engages after a
 run of degenerate pivots to guarantee termination.  The tableau is dense and
 kept Fortran-ordered so the rank-1 pivot update runs as one in-place BLAS
@@ -27,13 +32,14 @@ OPTIMALITY_TOL = 1e-7
 PIVOT_TOL = 1e-9
 DEGENERATE_STEP = 1e-9
 BLAND_TRIGGER = 1000
+RESIDUAL_TOL = 1e-6  # relative row and bound slack an "optimal" x may show
 
 _LOWER, _UPPER, _BASIC = 0, 1, 2
 
 
 @dataclass
 class SimplexResult:
-    status: str  # optimal | infeasible | unbounded | iteration-limit
+    status: str  # optimal | infeasible | unbounded | iteration-limit | numerical
     objective: float
     x: np.ndarray | None
     iterations: int
@@ -72,6 +78,7 @@ class SimplexSolver:
         self.A = A
         self.b = b
         self.senses = norm_senses
+        self._le = np.array([s == "<=" for s in norm_senses], dtype=bool)
         self.lb = np.asarray(lb, dtype=float)
         self.ub = np.asarray(ub, dtype=float)
         if np.any(np.isneginf(self.lb)):
@@ -84,10 +91,36 @@ class SimplexSolver:
         *,
         start_at_upper: np.ndarray | None = None,
         max_iterations: int = 10**6,
-        bland_trigger: int = BLAND_TRIGGER,
     ) -> SimplexResult:
+        """Solve under optional bound overrides; an "optimal" x is verified."""
         lob = self.lb if lb is None else np.asarray(lb, dtype=float)
         upb = self.ub if ub is None else np.asarray(ub, dtype=float)
+        first = self._solve(lob, upb, start_at_upper, max_iterations)
+        if first.status != "optimal" or self._feasible(first.x, lob, upb):
+            return first
+        retry = self._solve(lob, upb, None, max_iterations - first.iterations)
+        iterations = first.iterations + retry.iterations
+        if retry.status == "optimal" and self._feasible(retry.x, lob, upb):
+            return SimplexResult("optimal", retry.objective, retry.x, iterations)
+        return SimplexResult("numerical", first.objective, first.x, iterations)
+
+    def _feasible(self, x: np.ndarray, lob: np.ndarray, upb: np.ndarray) -> bool:
+        """Rows and bounds hold within RESIDUAL_TOL * max(1, |rhs|)."""
+        excess = self.A @ x - self.b
+        excess = np.where(self._le, excess, np.abs(excess))
+        return bool(
+            np.all(excess <= RESIDUAL_TOL * np.maximum(1.0, np.abs(self.b)))
+            and np.all(x >= lob - RESIDUAL_TOL * np.maximum(1.0, np.abs(lob)))
+            and np.all(x <= upb + RESIDUAL_TOL * np.maximum(1.0, np.abs(upb)))
+        )
+
+    def _solve(
+        self,
+        lob: np.ndarray,
+        upb: np.ndarray,
+        start_at_upper: np.ndarray | None,
+        max_iterations: int,
+    ) -> SimplexResult:
         nv = self.nvars
         m = len(self.b)
         span = upb - lob
@@ -102,33 +135,8 @@ class SimplexSolver:
             upper_start = start_at_upper & np.isfinite(span) & (span > 0)
 
         y_start = np.where(upper_start, span, 0.0)
-        b0 = self.b - self.A @ (lob + y_start)
-        le_rows = [r for r, s in enumerate(self.senses) if s == "<="]
-        slack_of_row = {r: nv + j for j, r in enumerate(le_rows)}
-        art_rows = [
-            r
-            for r, s in enumerate(self.senses)
-            if s == "=" or (s == "<=" and b0[r] < 0)
-        ]
-        art_of_row = {r: nv + len(le_rows) + j for j, r in enumerate(art_rows)}
-        K = nv + len(le_rows) + len(art_rows)
-
-        T = np.zeros((m, K), order="F")
-        T[:, :nv] = self.A
-        val = np.empty(m)
-        basis = np.empty(m, dtype=np.intp)
-        for r in range(m):
-            flip = b0[r] < 0
-            if flip:
-                T[r, :nv] *= -1.0
-            if r in slack_of_row:
-                T[r, slack_of_row[r]] = -1.0 if flip else 1.0
-            if r in art_of_row:
-                T[r, art_of_row[r]] = 1.0
-                basis[r] = art_of_row[r]
-            else:
-                basis[r] = slack_of_row[r]
-            val[r] = abs(b0[r])
+        T, val, basis, art_start = self._start_tableau(self.b - self.A @ (lob + y_start))
+        K = T.shape[1]
 
         ubp = np.full(K, np.inf)
         ubp[:nv] = span
@@ -137,14 +145,12 @@ class SimplexSolver:
         vstat[basis] = _BASIC
 
         iterations = 0
-        art_start = nv + len(le_rows)
-
-        if art_rows:
+        if K > art_start:
             c1 = np.zeros(K)
             c1[art_start:] = -1.0
             d = c1 - c1[basis] @ T
             status, iterations = self._iterate(
-                T, val, basis, vstat, ubp, d, max_iterations, iterations, bland_trigger
+                T, val, basis, vstat, ubp, d, max_iterations, iterations
             )
             if status != "optimal":
                 return self._result(status, val, basis, vstat, ubp, lob, iterations)
@@ -157,9 +163,34 @@ class SimplexSolver:
         cfull[:nv] = self.c
         d = cfull - cfull[basis] @ T if m else cfull.copy()
         status, iterations = self._iterate(
-            T, val, basis, vstat, ubp, d, max_iterations, iterations, bland_trigger
+            T, val, basis, vstat, ubp, d, max_iterations, iterations
         )
         return self._result(status, val, basis, vstat, ubp, lob, iterations)
+
+    def _start_tableau(self, b0: np.ndarray):
+        """Tableau, basic values, basis and first artificial column at b0 = b - A x0.
+
+        Columns are the structurals, one slack per <= row, then one artificial
+        per row x0 violates (every = row, and <= rows with b0 < 0).  A row
+        with b0 < 0 is negated so its basic variable starts at |b0|.
+        """
+        nv = self.nvars
+        flip = b0 < 0
+        sign = np.where(flip, -1.0, 1.0)
+        slack_rows = np.flatnonzero(self._le)
+        art_rows = np.flatnonzero(~self._le | flip)
+        art_start = nv + len(slack_rows)
+        slack_cols = nv + np.arange(len(slack_rows))
+        art_cols = art_start + np.arange(len(art_rows))
+
+        T = np.zeros((len(b0), art_start + len(art_rows)), order="F")
+        np.multiply(self.A, sign[:, None], out=T[:, :nv])
+        T[slack_rows, slack_cols] = sign[slack_rows]
+        T[art_rows, art_cols] = 1.0
+        basis = np.empty(len(b0), dtype=np.intp)
+        basis[slack_rows] = slack_cols
+        basis[art_rows] = art_cols
+        return T, np.abs(b0), basis, art_start
 
     def _result(
         self,
@@ -188,14 +219,13 @@ class SimplexSolver:
         d: np.ndarray,
         max_iterations: int,
         iterations: int,
-        bland_trigger: int,
     ) -> tuple[str, int]:
         m, K = T.shape
         degenerate = 0
         weight = np.ones(K)  # Devex reference weights
         movable = ubp > 0.0
         while True:
-            bland = degenerate > bland_trigger
+            bland = degenerate > BLAND_TRIGGER
             improving = movable & (
                 ((vstat == _LOWER) & (d > OPTIMALITY_TOL))
                 | ((vstat == _UPPER) & (d < -OPTIMALITY_TOL))

@@ -1,11 +1,15 @@
 """LP and MIP solving for the pricing formulations.
 
-solve_lp evaluates a model's linear relaxation with the built-in simplex.
+solve_lp and solve_mip share one set-up: the model's arrays, the simplex
+built on them, and the price columns, which crash-start at their upper bound
+and feed the heuristic.  solve_lp evaluates a model's linear relaxation.
 solve_mip runs best-bound branch-and-bound on the binary assignment
-variables; every node's fractional prices feed the greedy envy-free
-allocation, which is always feasible, so the incumbent can improve at every
-node.  compare_relaxations evaluates all five relaxations of an instance and
-flags any breach of the proven ordering LR_I <= LR_STM and
+variables; primal_heuristic turns every node's fractional prices into the
+greedy envy-free allocation, which is always feasible, so the incumbent can
+improve at every node.  An LP counts as optimal only after its point passes
+the simplex's row and bound check; otherwise it is "numerical" and its bound
+is not trusted.  compare_relaxations evaluates all five relaxations of an
+instance and flags any breach of the proven ordering LR_I <= LR_STM and
 LR_I <= LR_L <= LR_P <= LR_U as a solver bug.
 """
 
@@ -22,19 +26,20 @@ import numpy as np
 
 from .allocation import Outcome, envy_free_allocation
 from .core import Instance, Pricing
-from .formulations import ALL_KINDS, FormulationKind, MipModel, build
+from .formulations import ALL_KINDS, MipModel, build
 from .simplex import SimplexSolver
 
 log = logging.getLogger("efp.solver")
 
 ORDER_TOL = 1e-6
+INTEGRALITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class LpSolution:
     """Result of one linear-relaxation solve."""
 
-    status: str  # optimal | infeasible | unbounded | iteration-limit
+    status: str  # optimal | infeasible | unbounded | iteration-limit | numerical
     objective: float
     values: dict[str, float]
     iterations: int
@@ -62,7 +67,6 @@ class RelaxationReport:
     values: dict[str, float]
     failed: tuple[str, ...]
     violations: tuple[tuple[str, float], ...]
-    mip_optimum: Optional[float]
 
     def ok(self) -> bool:
         return not self.failed and not self.violations
@@ -90,47 +94,43 @@ def model_arrays(model: MipModel):
     return names, c, A, senses, b, lb, ub, integer
 
 
-def _price_start(names: list[str]) -> np.ndarray:
-    """Crash-start mask: price variables begin at their upper bound.
+def _setup(model: MipModel):
+    """Names, simplex, price mask and binary positions of one model.
 
-    Every envy-style row is satisfied when each price sits at the item's
-    maximum valuation, so the slack basis is feasible and phase 1 vanishes
-    whenever the price cap is active.
+    The price mask marks p_1..p_n, which build() declares in item order, so
+    x[prices] is the price vector.  It doubles as the crash start: every
+    envy-style row holds when each price sits at the item's maximum
+    valuation, so the slack basis is feasible and phase 1 vanishes whenever
+    the price cap is active.
     """
-    return np.array([name.startswith("p_") for name in names], dtype=bool)
+    names, c, A, senses, b, lb, ub, integer = model_arrays(model)
+    prices = np.array([name.startswith("p_") for name in names], dtype=bool)
+    return names, SimplexSolver(c, A, senses, b, lb, ub), prices, np.flatnonzero(integer)
 
 
 def solve_lp(model: MipModel, *, max_iterations: int = 10**6) -> LpSolution:
     """Solve the linear relaxation of a model (integrality is ignored)."""
-    names, c, A, senses, b, lb, ub, _ = model_arrays(model)
-    solver = SimplexSolver(c, A, senses, b, lb, ub)
-    res = solver.solve(start_at_upper=_price_start(names), max_iterations=max_iterations)
+    names, solver, prices, _ = _setup(model)
+    res = solver.solve(start_at_upper=prices, max_iterations=max_iterations)
     values = (
         {name: float(x) for name, x in zip(names, res.x)} if res.x is not None else {}
     )
     return LpSolution(res.status, res.objective, values, res.iterations)
 
 
-def primal_heuristic(inst: Instance, lp: LpSolution) -> Outcome:
-    """Greedy envy-free outcome at the (possibly fractional) LP prices.
+def primal_heuristic(inst: Instance, prices) -> Outcome:
+    """Greedy envy-free outcome at (possibly fractional) LP prices, clipped at 0.
 
     Feasible for every formulation, so it is always a valid incumbent.
     """
-    prices = tuple(
-        max(0.0, lp.values[f"p_{i + 1}"]) for i in range(inst.num_items)
-    )
-    return envy_free_allocation(inst, Pricing(prices))
+    clipped = tuple(max(0.0, float(p)) for p in prices)
+    return envy_free_allocation(inst, Pricing(clipped))
 
 
-def _heuristic_from_x(inst: Instance, x: np.ndarray, p_idx: np.ndarray) -> Outcome:
-    prices = tuple(max(0.0, float(v)) for v in x[p_idx])
-    return envy_free_allocation(inst, Pricing(prices))
-
-
-def _branch_variable(x: np.ndarray, int_idx: np.ndarray, tol: float) -> Optional[int]:
+def _branch_variable(x: np.ndarray, int_idx: np.ndarray) -> Optional[int]:
     """Most-fractional binary; ties to larger LP value, then lower index."""
     frac = np.abs(x[int_idx] - np.round(x[int_idx]))
-    eligible = frac > tol
+    eligible = frac > INTEGRALITY_TOL
     if not eligible.any():
         return None
     dist = np.abs(x[int_idx] - 0.5)
@@ -148,8 +148,6 @@ def solve_mip(
     time_limit: Optional[float] = None,
     node_limit: Optional[int] = None,
     gap_tolerance: float = 1e-6,
-    integrality_tol: float = 1e-6,
-    dfs_threshold: int = 10**6,
 ) -> MipResult:
     """Best-bound branch-and-bound over the binary assignment variables.
 
@@ -157,15 +155,9 @@ def solve_mip(
     the incumbent found so far and the honest remaining bound.
     """
     start = time.perf_counter()
-    names, c, A, senses, b, lb, ub, integer = model_arrays(model)
-    solver = SimplexSolver(c, A, senses, b, lb, ub)
-    int_idx = np.flatnonzero(integer)
-    p_idx = np.array(
-        [names.index(f"p_{i + 1}") for i in range(inst.num_items)], dtype=np.intp
-    )
-    crash = _price_start(names)
+    _, solver, prices, int_idx = _setup(model)
 
-    root = solver.solve(start_at_upper=crash)
+    root = solver.solve(start_at_upper=prices)
     root_seconds = time.perf_counter() - start
     nodes = 1
     if root.status == "infeasible":
@@ -180,41 +172,30 @@ def solve_mip(
     # a node LP that stops early has no valid bound; if that ever happens the
     # affected subtree is dropped and the final status downgraded
     searched_exhaustively = root.status == "optimal"
-    incumbent = _heuristic_from_x(inst, root.x, p_idx)
+    incumbent = primal_heuristic(inst, root.x[prices])
     inc_val = incumbent.profit
 
     counter = 0
     open_nodes: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray]] = []
-    depth_first = False
 
     def scale() -> float:
         return max(1.0, abs(inc_val))
 
-    if (
-        searched_exhaustively
-        and _branch_variable(root.x, int_idx, integrality_tol) is not None
-    ):
-        heapq.heappush(open_nodes, (-root.objective, counter, lb, ub, root.x))
+    if searched_exhaustively and _branch_variable(root.x, int_idx) is not None:
+        heapq.heappush(
+            open_nodes, (-root.objective, counter, solver.lb, solver.ub, root.x)
+        )
 
     while open_nodes:
         if time_limit is not None and time.perf_counter() - start > time_limit:
             break
         if node_limit is not None and nodes >= node_limit:
             break
-        if not depth_first and len(open_nodes) > dfs_threshold:
-            depth_first = True
-            log.debug("open set exceeded %d nodes, switching to depth-first", dfs_threshold)
-        if depth_first:
-            neg_bound, _, node_lb, node_ub, node_x = open_nodes.pop()
-        else:
-            neg_bound, _, node_lb, node_ub, node_x = heapq.heappop(open_nodes)
-        bound = -neg_bound
-        if bound <= inc_val + gap_tolerance * scale():
-            if depth_first:
-                continue  # heap order is best-bound; a stack is not
+        neg_bound, _, node_lb, node_ub, node_x = heapq.heappop(open_nodes)
+        if -neg_bound <= inc_val + gap_tolerance * scale():
             open_nodes.clear()
             break
-        branch = _branch_variable(node_x, int_idx, integrality_tol)
+        branch = _branch_variable(node_x, int_idx)
         if branch is None:
             continue
         for fixed in (0.0, 1.0):
@@ -222,7 +203,7 @@ def solve_mip(
             child_ub = node_ub.copy()
             child_lb[branch] = fixed
             child_ub[branch] = fixed
-            child = solver.solve(child_lb, child_ub, start_at_upper=crash)
+            child = solver.solve(child_lb, child_ub, start_at_upper=prices)
             nodes += 1
             if child.status == "infeasible":
                 continue
@@ -230,7 +211,7 @@ def solve_mip(
                 log.warning("node LP ended with status %s", child.status)
                 searched_exhaustively = False
                 continue
-            candidate = _heuristic_from_x(inst, child.x, p_idx)
+            candidate = primal_heuristic(inst, child.x[prices])
             if candidate.profit > inc_val:
                 incumbent, inc_val = candidate, candidate.profit
             if child.objective > inc_val + gap_tolerance * scale():
@@ -261,13 +242,7 @@ _ORDER_CHECKS = (
 )
 
 
-def compare_relaxations(
-    inst: Instance,
-    *,
-    price_bound: bool = True,
-    include_mip: bool = False,
-    time_limit: Optional[float] = None,
-) -> RelaxationReport:
+def compare_relaxations(inst: Instance, *, price_bound: bool = True) -> RelaxationReport:
     """Solve all five relaxations and verify the proven ordering.
 
     Any breach beyond 1e-6 is reported as a violation (a solver bug, not a
@@ -295,16 +270,7 @@ def compare_relaxations(
                 "instance with LR_I < LR_L found: %.9g < %.9g",
                 values["I"], values["L"],
             )
-    mip_optimum = None
-    if include_mip:
-        result = solve_mip(
-            build(inst, FormulationKind.U, price_bound=price_bound),
-            inst,
-            time_limit=time_limit,
-        )
-        if result.status == "optimal":
-            mip_optimum = result.incumbent_value
-    return RelaxationReport(values, tuple(failed), tuple(violations), mip_optimum)
+    return RelaxationReport(values, tuple(failed), tuple(violations))
 
 
 def find_strict_instance(

@@ -1,7 +1,7 @@
-"""Independent LP oracle used to cross-check the built-in simplex."""
+"""Independent LP and MIP oracles used to cross-check the built-in solver."""
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from efp.formulations import MipModel
 from efp.solver import model_arrays
@@ -32,4 +32,22 @@ def reference_lp_optimum(model: MipModel) -> float:
     )
     if res.status != 0:
         raise AssertionError(f"reference solver failed: {res.message}")
+    return -res.fun
+
+
+def reference_mip_optimum(model: MipModel) -> float:
+    """Optimal integer value via HiGHS branch-and-cut, for solve_mip to match."""
+    _, c, A, senses, b, lb, ub, integer = model_arrays(model)
+    senses = np.array(senses)
+    row_lb = np.where(senses == "<=", -np.inf, b)
+    row_ub = np.where(senses == ">=", np.inf, b)
+    res = milp(
+        -c,
+        constraints=LinearConstraint(A, row_lb, row_ub),
+        integrality=integer.astype(int),
+        bounds=Bounds(lb, ub),
+        options={"mip_rel_gap": 1e-9},
+    )
+    if res.status != 0:
+        raise AssertionError(f"reference MIP solver failed: {res.message}")
     return -res.fun

@@ -149,7 +149,6 @@ def test_relax_violation_exit_code(fig1_path, monkeypatch):
             {"STM": 1.0, "I": 2.0, "L": 2.0, "P": 2.0, "U": 2.0},
             (),
             (("LR_I <= LR_STM", 1.0),),
-            None,
         )
 
     monkeypatch.setattr(cli_mod, "compare_relaxations", fake)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from efp.formulations import ALL_KINDS, build
+from efp import simplex
+from efp.formulations import ALL_KINDS, FormulationKind, build, constraint_violations
 from efp.generators import generate, preset
 from efp.simplex import SimplexSolver
-from efp.solver import model_arrays, solve_lp
+from efp.solver import compare_relaxations, model_arrays, solve_lp
 
 from conftest import make_fig1
 from reference_lp import reference_lp_optimum
@@ -123,14 +124,62 @@ def test_matches_reference_solver_on_generated_instances():
     assert checked == 45
 
 
-def test_blands_rule_path_agrees():
+def test_blands_rule_path_agrees(monkeypatch):
     model = build(make_fig1(), "I")
     names, c, A, senses, b, lb, ub, _ = model_arrays(model)
     solver = SimplexSolver(c, A, senses, b, lb, ub)
     plain = solver.solve()
-    bland = solver.solve(bland_trigger=0)
+    monkeypatch.setattr(simplex, "BLAND_TRIGGER", 0)
+    bland = solver.solve()
     assert bland.status == "optimal"
     assert bland.objective == pytest.approx(plain.objective, abs=1e-7)
+
+
+def _loop_start_tableau(solver, b0):
+    """Row-by-row build of the start tableau, the reference for the array build."""
+    nv, m = solver.nvars, len(b0)
+    le_rows = [r for r, s in enumerate(solver.senses) if s == "<="]
+    slack_of_row = {r: nv + j for j, r in enumerate(le_rows)}
+    art_rows = [
+        r for r, s in enumerate(solver.senses) if s == "=" or (s == "<=" and b0[r] < 0)
+    ]
+    art_of_row = {r: nv + len(le_rows) + j for j, r in enumerate(art_rows)}
+    T = np.zeros((m, nv + len(le_rows) + len(art_rows)), order="F")
+    T[:, :nv] = solver.A
+    val = np.empty(m)
+    basis = np.empty(m, dtype=np.intp)
+    for r in range(m):
+        flip = b0[r] < 0
+        if flip:
+            T[r, :nv] *= -1.0
+        if r in slack_of_row:
+            T[r, slack_of_row[r]] = -1.0 if flip else 1.0
+        if r in art_of_row:
+            T[r, art_of_row[r]] = 1.0
+            basis[r] = art_of_row[r]
+        else:
+            basis[r] = slack_of_row[r]
+        val[r] = abs(b0[r])
+    return T, val, basis, nv + len(le_rows)
+
+
+def test_start_tableau_matches_row_loop():
+    starts = []
+    for kind in ALL_KINDS:
+        names, c, A, senses, b, lb, ub, _ = model_arrays(build(make_fig1(), kind))
+        solver = SimplexSolver(c, A, senses, b, lb, ub)
+        crash = np.where([n.startswith("p_") for n in names], ub, lb)
+        starts += [(solver, lb), (solver, crash)]
+    mixed = _solver([1, 1], [[1, 2], [3, 1], [1, 1]], ["<=", ">=", "="], [4, 6, 2],
+                    [0, 0], [np.inf] * 2)
+    starts.append((mixed, np.zeros(2)))
+    for solver, x0 in starts:
+        b0 = solver.b - solver.A @ x0
+        got = solver._start_tableau(b0)
+        want = _loop_start_tableau(solver, b0)
+        for g, w in zip(got[:3], want[:3]):
+            assert g.tobytes() == w.tobytes()  # bit for bit, signed zeros too
+        assert got[3] == want[3]
 
 
 def test_crash_start_agrees():
@@ -145,9 +194,24 @@ def test_crash_start_agrees():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_optimal_solutions_are_feasible(kind):
-    from efp.formulations import constraint_violations
-
     model = build(make_fig1(), kind)
     sol = solve_lp(model)
     assert sol.status == "optimal"
     assert not constraint_violations(model, sol.values, tol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "model_name, seed",
+    [("popularity", 113432314267342), ("characteristics", 213719188383311)],
+)
+def test_drifted_optimum_is_re_solved(model_name, seed):
+    # the crash-started tableau drifts to an "optimal" basis that breaks rows
+    # of formulation I on these markets (202.37 and 747.75 unchecked)
+    inst = generate(model_name, preset(model_name, 8), seed)
+    model = build(inst, FormulationKind.I)
+    sol = solve_lp(model)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(reference_lp_optimum(model), abs=1e-6)
+    assert not constraint_violations(model, sol.values, tol=1e-6)
+    report = compare_relaxations(inst)
+    assert report.ok(), report
