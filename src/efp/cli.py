@@ -17,12 +17,18 @@ import sys
 from pathlib import Path
 
 from . import benchmark as bench
-from .allocation import Outcome, profit
+from .allocation import Outcome, TooLargeError, profit
 from .core import Instance, Pricing
 from .fileio import FormatError, load_instance, save_instance
 from .formulations import ALL_KINDS, FormulationKind, build
-from .generators import MODELS, generate, preset
-from .geometric import guarantee_factor, round_pricing_eps, round_pricing_half
+from .generators import MODELS, InvalidConfigError, generate, preset
+from .geometric import (
+    InvalidEpsilonError,
+    NonPositiveApexError,
+    guarantee_factor,
+    round_pricing_eps,
+    round_pricing_half,
+)
 from .oracle import brute_force_optimal
 from .solver import compare_relaxations, find_strict_instance, solve_mip
 
@@ -30,6 +36,14 @@ log = logging.getLogger("efp.cli")
 
 USAGE_ERROR = 1
 INVARIANT_ERROR = 2
+
+# library errors that mean the input was bad, not that the program is
+_INPUT_ERRORS = (
+    InvalidConfigError,
+    InvalidEpsilonError,
+    NonPositiveApexError,
+    TooLargeError,
+)
 
 
 class CliError(Exception):
@@ -213,7 +227,10 @@ def cmd_round(args) -> int:
             raise CliError(
                 f"--prices has {len(values)} entries for {inst.num_items} items"
             )
-        pricing = Pricing(values)
+        try:
+            pricing = Pricing(values)
+        except ValueError as exc:
+            raise CliError(f"bad --prices list: {exc}") from None
     else:
         result = solve_mip(
             build(inst, FormulationKind.U, price_bound=not args.no_price_bound),
@@ -365,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         return args.func(args)
-    except CliError as exc:
+    except (CliError, *_INPUT_ERRORS) as exc:
         print(f"efp: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

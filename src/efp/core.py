@@ -107,7 +107,7 @@ class Pricing:
 
     def __post_init__(self) -> None:
         for i, p in enumerate(self.prices):
-            if p < 0:
+            if not p >= 0:  # also rejects NaN
                 raise ValueError(f"price of item {i} must be non-negative, got {p}")
 
     def __len__(self) -> int:

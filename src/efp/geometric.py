@@ -64,22 +64,33 @@ def floor_geometric(x: float, grid: GeometricGrid) -> float:
     return grid.element(r)
 
 
+def _round_down(
+    inst: Instance, pricing: Pricing, ratio: float, shrink: float
+) -> Pricing:
+    """Floor each positive p / shrink onto the ratio grid at the top valuation.
+
+    Zero prices stay zero; the grid needs a positive maximum valuation.
+    """
+    apex = derive_constants(inst).global_max
+    if not apex > 0:
+        raise NonPositiveApexError("instance has no positive valuation to anchor the grid")
+    grid = GeometricGrid(apex, ratio)
+    return Pricing(
+        tuple(
+            floor_geometric(p / shrink, grid) if p > 0 else 0.0
+            for p in pricing.prices
+        )
+    )
+
+
 def round_pricing_half(inst: Instance, pricing: Pricing) -> Pricing:
     """Round 2p/3 down onto the ratio-2 grid; profit loses at most a factor 4.
 
     Zero prices stay zero.  Requires a positive maximum valuation to anchor
     the grid.
     """
-    apex = derive_constants(inst).global_max
-    if not apex > 0:
-        raise NonPositiveApexError("instance has no positive valuation to anchor the grid")
-    grid = GeometricGrid(apex, 2.0)
-    return Pricing(
-        tuple(
-            floor_geometric(2.0 * p / 3.0, grid) if p > 0 else 0.0
-            for p in pricing.prices
-        )
-    )
+    # p / 1.5 and 2p / 3 are the same correctly rounded quotient
+    return _round_down(inst, pricing, 2.0, 1.5)
 
 
 def round_pricing_eps(inst: Instance, pricing: Pricing, eps: float) -> Pricing:
@@ -94,14 +105,7 @@ def round_pricing_eps(inst: Instance, pricing: Pricing, eps: float) -> Pricing:
     """
     if not 0 < eps < 1:
         raise InvalidEpsilonError(f"eps must lie in (0, 1), got {eps}")
-    apex = derive_constants(inst).global_max
-    if not apex > 0:
-        raise NonPositiveApexError("instance has no positive valuation to anchor the grid")
-    r = 1.0 + math.sqrt(eps / (1.0 + eps))
-    grid = GeometricGrid(apex, 1.0 + eps)
-    return Pricing(
-        tuple(floor_geometric(p / r, grid) if p > 0 else 0.0 for p in pricing.prices)
-    )
+    return _round_down(inst, pricing, 1.0 + eps, 1.0 + math.sqrt(eps / (1.0 + eps)))
 
 
 def guarantee_factor(eps: float, *, half_rounding: bool = False) -> float:

@@ -15,9 +15,11 @@ rows and bounds before it is returned; one that fails is re-solved from the
 slack basis, and a second failure is status "numerical" with the first point.
 
 Pricing is Devex (approximate steepest edge); Bland's rule engages after a
-run of degenerate pivots to guarantee termination.  The tableau is dense and
-kept Fortran-ordered so the rank-1 pivot update runs as one in-place BLAS
-ger call; desk-scale models stay within a few thousand columns.
+run of degenerate pivots to guarantee termination.  A is held once, sparse
+(CSR; a dense A is converted on entry), with >= rows folded in by a +-1 row
+sign.  Only the tableau is dense, kept Fortran-ordered so the rank-1 pivot
+update runs as one in-place BLAS ger call; desk-scale models stay within a
+few thousand columns.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg.blas import dger
 
 FEASIBILITY_TOL = 1e-7
@@ -55,7 +58,7 @@ class SimplexSolver:
     def __init__(
         self,
         c: np.ndarray,
-        A: np.ndarray,
+        A: np.ndarray | sparse.sparray,
         senses: list[str],
         b: np.ndarray,
         lb: np.ndarray,
@@ -63,22 +66,16 @@ class SimplexSolver:
     ) -> None:
         self.nvars = len(c)
         self.c = np.asarray(c, dtype=float)
-        A = np.array(A, dtype=float)
-        b = np.array(b, dtype=float)
-        norm_senses: list[str] = []
-        for r, sense in enumerate(senses):
-            if sense == ">=":
-                A[r] *= -1.0
-                b[r] *= -1.0
-                norm_senses.append("<=")
-            elif sense in ("<=", "="):
-                norm_senses.append(sense)
-            else:
-                raise ValueError(f"unknown constraint sense {sense!r}")
-        self.A = A
-        self.b = b
-        self.senses = norm_senses
-        self._le = np.array([s == "<=" for s in norm_senses], dtype=bool)
+        self.A = sparse.csr_array(A, dtype=float, copy=True)
+        self.A.sum_duplicates()  # the start tableau writes each entry once
+        unknown = set(senses) - {"<=", "=", ">="}
+        if unknown:
+            raise ValueError(f"unknown constraint sense {unknown.pop()!r}")
+        kind = np.asarray(senses, dtype=str)
+        self.row_sign = np.where(kind == ">=", -1.0, 1.0)
+        self.b = self.row_sign * np.asarray(b, dtype=float)
+        self._le = kind != "="
+        self.senses = np.where(self._le, "<=", "=").tolist()
         self.lb = np.asarray(lb, dtype=float)
         self.ub = np.asarray(ub, dtype=float)
         if np.any(np.isneginf(self.lb)):
@@ -106,7 +103,7 @@ class SimplexSolver:
 
     def _feasible(self, x: np.ndarray, lob: np.ndarray, upb: np.ndarray) -> bool:
         """Rows and bounds hold within RESIDUAL_TOL * max(1, |rhs|)."""
-        excess = self.A @ x - self.b
+        excess = self.row_sign * (self.A @ x) - self.b
         excess = np.where(self._le, excess, np.abs(excess))
         return bool(
             np.all(excess <= RESIDUAL_TOL * np.maximum(1.0, np.abs(self.b)))
@@ -135,7 +132,8 @@ class SimplexSolver:
             upper_start = start_at_upper & np.isfinite(span) & (span > 0)
 
         y_start = np.where(upper_start, span, 0.0)
-        T, val, basis, art_start = self._start_tableau(self.b - self.A @ (lob + y_start))
+        b0 = self.b - self.row_sign * (self.A @ (lob + y_start))
+        T, val, basis, art_start = self._start_tableau(b0)
         K = T.shape[1]
 
         ubp = np.full(K, np.inf)
@@ -174,7 +172,7 @@ class SimplexSolver:
         per row x0 violates (every = row, and <= rows with b0 < 0).  A row
         with b0 < 0 is negated so its basic variable starts at |b0|.
         """
-        nv = self.nvars
+        nv, A = self.nvars, self.A
         flip = b0 < 0
         sign = np.where(flip, -1.0, 1.0)
         slack_rows = np.flatnonzero(self._le)
@@ -184,7 +182,8 @@ class SimplexSolver:
         art_cols = art_start + np.arange(len(art_rows))
 
         T = np.zeros((len(b0), art_start + len(art_rows)), order="F")
-        np.multiply(self.A, sign[:, None], out=T[:, :nv])
+        rows = np.repeat(np.arange(len(b0)), np.diff(A.indptr))
+        T[rows, A.indices] = (sign * self.row_sign)[rows] * A.data
         T[slack_rows, slack_cols] = sign[slack_rows]
         T[art_rows, art_cols] = 1.0
         basis = np.empty(len(b0), dtype=np.intp)
@@ -202,9 +201,7 @@ class SimplexSolver:
         lob: np.ndarray,
         iterations: int,
     ) -> SimplexResult:
-        y = np.zeros(len(vstat))
-        at_upper = vstat == _UPPER
-        y[at_upper] = ubp[at_upper]
+        y = np.where(vstat == _UPPER, ubp, 0.0)
         y[basis] = val
         x = y[: self.nvars] + lob
         return SimplexResult(status, float(self.c @ x), x, iterations)
@@ -255,8 +252,7 @@ class SimplexSolver:
                 up = (g < -PIVOT_TOL) & np.isfinite(ub_basic)
                 t_up[up] = np.maximum(ub_basic[up] - val[up], 0.0) / -g[up]
                 t_row = np.minimum(t_low, t_up)
-                r_best = int(np.argmin(t_row))
-                t_rows = float(t_row[r_best])
+                t_rows = float(t_row.min())
             else:
                 t_rows = np.inf
             t_self = float(ubp[e])

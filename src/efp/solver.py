@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from .allocation import Outcome, envy_free_allocation
 from .core import Instance, Pricing
@@ -72,26 +73,29 @@ class RelaxationReport:
         return not self.failed and not self.violations
 
 
-def model_arrays(model: MipModel):
-    """Dense arrays for the simplex: c, A, senses, b, lb, ub plus name order."""
+def _arrays(model: MipModel):
+    """Names, c, CSR A, senses, b, lb, ub and integrality from the model's dicts."""
     names = [v.name for v in model.variables]
     index = {name: j for j, name in enumerate(names)}
-    nv = len(names)
-    c = np.zeros(nv)
-    for name, coef in model.objective.items():
-        c[index[name]] = coef
-    A = np.zeros((len(model.constraints), nv))
-    b = np.zeros(len(model.constraints))
-    senses = []
+    c = np.array([model.objective.get(name, 0.0) for name in names], dtype=float)
+    rows, cols, data, b, senses = [], [], [], [], []
     for r, con in enumerate(model.constraints):
-        for name, coef in con.coeffs.items():
-            A[r, index[name]] = coef
-        b[r] = con.rhs
+        rows += [r] * len(con.coeffs)
+        cols += map(index.__getitem__, con.coeffs)
+        data += con.coeffs.values()
+        b.append(con.rhs)
         senses.append(con.sense)
+    A = sparse.csr_array((data, (rows, cols)), shape=(len(b), len(names)), dtype=float)
     lb = np.array([v.lower for v in model.variables])
     ub = np.array([v.upper for v in model.variables])
     integer = np.array([v.integer for v in model.variables], dtype=bool)
-    return names, c, A, senses, b, lb, ub, integer
+    return names, c, A, senses, np.array(b, dtype=float), lb, ub, integer
+
+
+def model_arrays(model: MipModel):
+    """The solver's arrays with A dense (its CSR .toarray()), for reference solvers."""
+    names, c, A, *rest = _arrays(model)
+    return (names, c, A.toarray(), *rest)
 
 
 def _setup(model: MipModel):
@@ -103,7 +107,7 @@ def _setup(model: MipModel):
     valuation, so the slack basis is feasible and phase 1 vanishes whenever
     the price cap is active.
     """
-    names, c, A, senses, b, lb, ub, integer = model_arrays(model)
+    names, c, A, senses, b, lb, ub, integer = _arrays(model)
     prices = np.array([name.startswith("p_") for name in names], dtype=bool)
     return names, SimplexSolver(c, A, senses, b, lb, ub), prices, np.flatnonzero(integer)
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from efp.cli import main
+from efp.core import validate_instance
 from efp.fileio import save_instance
 from efp.solver import RelaxationReport
 
@@ -182,6 +183,35 @@ def test_round_solved_pricing(fig1_path, capsys):
 
 def test_round_dimension_mismatch(fig1_path):
     assert main(["round", fig1_path, "--prices", "1,2"]) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "--model", "popularity", "--n", "1", "--output", "{out}"],
+        ["generate", "--model", "popularity", "--n", "4", "--set", "e=1000",
+         "--output", "{out}"],
+        ["benchmark", "--model", "popularity", "--sizes", "1", "--output", "{out}"],
+        ["round", "{fig1}", "--prices", "6,6,3", "--eps", "2"],
+        ["round", "{fig1}", "--prices", "6,6,3", "--eps", "0"],
+        ["round", "{fig1}", "--prices", "6,-1,3"],
+        ["round", "{fig1}", "--prices", "nan,6,3", "--eps", "0.5"],
+        ["round", "{no_edges}", "--prices", "0"],
+        ["oracle", "{twelve_items}"],
+    ],
+    ids=["n1", "edge-budget", "sizes1", "eps2", "eps0", "negative-price",
+         "nan-price", "no-edges", "oracle-too-large"],
+)
+def test_input_errors_exit_1(args, fig1_path, tmp_path, capsys):
+    no_edges = tmp_path / "no_edges.efp"
+    save_instance(validate_instance(1, 1, []), no_edges)
+    twelve_items = tmp_path / "twelve.efp"
+    save_instance(validate_instance(12, 1, [(i, 0, 1.0) for i in range(12)]),
+                  twelve_items)
+    paths = {"out": tmp_path / "out.efp", "fig1": fig1_path, "no_edges": no_edges,
+             "twelve_items": twelve_items}
+    assert main([arg.format(**paths) for arg in args]) == 1
+    assert "efp: error:" in capsys.readouterr().err
 
 
 def test_round_violation_exit_code(fig1_path, monkeypatch):

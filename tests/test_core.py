@@ -5,6 +5,7 @@ from efp.core import (
     IndexOutOfRangeError,
     InstanceError,
     NonPositiveValueError,
+    Pricing,
     derive_constants,
     validate_instance,
 )
@@ -46,6 +47,13 @@ def test_out_of_range_index_rejected(edge):
 def test_degenerate_shape_rejected():
     with pytest.raises(InstanceError):
         validate_instance(0, 3, [])
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_pricing_rejects_negative_and_nan(bad):
+    assert Pricing((0.0, 6.0)).prices == (0.0, 6.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        Pricing((6.0, bad))
 
 
 def test_derive_constants_fig1(fig1):

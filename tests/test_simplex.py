@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from efp import simplex
 from efp.formulations import ALL_KINDS, FormulationKind, build, constraint_violations
@@ -11,69 +12,79 @@ from conftest import make_fig1
 from reference_lp import reference_lp_optimum
 
 
-def _solver(c, A, senses, b, lb, ub):
-    return SimplexSolver(
-        np.array(c, float),
-        np.array(A, float).reshape(len(senses), len(c)),
-        senses,
-        np.array(b, float),
-        np.array(lb, float),
-        np.array(ub, float),
-    )
+def _stored(A):
+    """Bytes of everything a caller's A holds, dense or sparse."""
+    if sparse.issparse(A):
+        return A.data.tobytes(), A.indices.tobytes(), A.indptr.tobytes()
+    return A.tobytes()
+
+
+def _solvers(c, A, senses, b, lb, ub):
+    """Yield the LP's solver built from a dense A, then from a sparse A.
+
+    Each is yielded before the caller solves it; on resuming, the caller's A
+    must be exactly as it was given.
+    """
+    dense = np.array(A, float).reshape(len(senses), len(c))
+    for given in (dense, sparse.csr_array(dense)):
+        before = _stored(given)
+        yield SimplexSolver(
+            np.array(c, float),
+            given,
+            senses,
+            np.array(b, float),
+            np.array(lb, float),
+            np.array(ub, float),
+        )
+        assert _stored(given) == before
 
 
 def test_optimum_at_variable_bounds_without_constraints():
-    s = SimplexSolver(
-        np.array([1.0, -2.0]),
-        np.zeros((0, 2)),
-        [],
-        np.zeros(0),
-        np.array([0.0, -1.0]),
-        np.array([3.0, 5.0]),
-    )
-    res = s.solve()
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(3.0 + 2.0)
-    assert tuple(res.x) == (3.0, -1.0)
+    for s in _solvers([1.0, -2.0], [], [], [], [0.0, -1.0], [3.0, 5.0]):
+        res = s.solve()
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(3.0 + 2.0)
+        assert tuple(res.x) == (3.0, -1.0)
 
 
 def test_classic_two_variable_lp():
     # max x + y st x + 2y <= 4, 3x + y <= 6 -> (1.6, 1.2), value 2.8
-    s = _solver([1, 1], [[1, 2], [3, 1]], ["<=", "<="], [4, 6], [0, 0], [np.inf] * 2)
-    res = s.solve()
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(2.8)
+    lp = ([1, 1], [[1, 2], [3, 1]], ["<=", "<="], [4, 6], [0, 0], [np.inf] * 2)
+    for s in _solvers(*lp):
+        res = s.solve()
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(2.8)
 
 
 def test_equality_constraint():
     # max x + y st x + y = 2, x <= 1.5
-    s = _solver([1, 1], [[1, 1]], ["="], [2], [0, 0], [1.5, np.inf])
-    res = s.solve()
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(2.0)
+    for s in _solvers([1, 1], [[1, 1]], ["="], [2], [0, 0], [1.5, np.inf]):
+        res = s.solve()
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(2.0)
 
 
 def test_greater_equal_constraint():
     # max -x st x >= 3
-    s = _solver([-1], [[1]], [">="], [3], [0], [np.inf])
-    res = s.solve()
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-3.0)
+    for s in _solvers([-1], [[1]], [">="], [3], [0], [np.inf]):
+        res = s.solve()
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(-3.0)
 
 
 def test_infeasible():
-    s = _solver([1], [[1]], [">="], [2], [0], [1.0])
-    assert s.solve().status == "infeasible"
+    for s in _solvers([1], [[1]], [">="], [2], [0], [1.0]):
+        assert s.solve().status == "infeasible"
 
 
 def test_conflicting_bounds_infeasible():
-    s = _solver([1], [[1]], ["<="], [5], [2.0], [1.0])
-    assert s.solve().status == "infeasible"
+    for s in _solvers([1], [[1]], ["<="], [5], [2.0], [1.0]):
+        assert s.solve().status == "infeasible"
 
 
 def test_unbounded():
-    s = _solver([1], [[-1]], ["<="], [0], [0], [np.inf])
-    assert s.solve().status == "unbounded"
+    for s in _solvers([1], [[-1]], ["<="], [0], [0], [np.inf]):
+        assert s.solve().status == "unbounded"
 
 
 def test_iteration_limit():
@@ -84,19 +95,19 @@ def test_iteration_limit():
 
 
 def test_fixed_variables_respected():
-    s = _solver([1, 1], [[1, 1]], ["<="], [10], [2, 0], [2, 3])
-    res = s.solve()
-    assert res.status == "optimal"
-    assert res.x[0] == pytest.approx(2.0)
-    assert res.objective == pytest.approx(5.0)
+    for s in _solvers([1, 1], [[1, 1]], ["<="], [10], [2, 0], [2, 3]):
+        res = s.solve()
+        assert res.status == "optimal"
+        assert res.x[0] == pytest.approx(2.0)
+        assert res.objective == pytest.approx(5.0)
 
 
 def test_negative_lower_bounds():
     # max -x - y st x + y >= -3, lb = -5
-    s = _solver([-1, -1], [[1, 1]], [">="], [-3], [-5, -5], [np.inf] * 2)
-    res = s.solve()
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(3.0)
+    for s in _solvers([-1, -1], [[1, 1]], [">="], [-3], [-5, -5], [np.inf] * 2):
+        res = s.solve()
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -136,8 +147,12 @@ def test_blands_rule_path_agrees(monkeypatch):
 
 
 def _loop_start_tableau(solver, b0):
-    """Row-by-row build of the start tableau, the reference for the array build."""
-    nv, m = solver.nvars, len(b0)
+    """Row-by-row build of the start tableau, the reference for the array build.
+
+    A row is negated when exactly one of its >= fold and b0 < 0 holds; only
+    its stored entries are negated, so unstored zeros stay +0.0.
+    """
+    nv, m, A = solver.nvars, len(b0), solver.A
     le_rows = [r for r, s in enumerate(solver.senses) if s == "<="]
     slack_of_row = {r: nv + j for j, r in enumerate(le_rows)}
     art_rows = [
@@ -145,13 +160,14 @@ def _loop_start_tableau(solver, b0):
     ]
     art_of_row = {r: nv + len(le_rows) + j for j, r in enumerate(art_rows)}
     T = np.zeros((m, nv + len(le_rows) + len(art_rows)), order="F")
-    T[:, :nv] = solver.A
+    T[:, :nv] = A.toarray()
     val = np.empty(m)
     basis = np.empty(m, dtype=np.intp)
     for r in range(m):
         flip = b0[r] < 0
-        if flip:
-            T[r, :nv] *= -1.0
+        if flip != (solver.row_sign[r] < 0):
+            stored = A.indices[A.indptr[r]:A.indptr[r + 1]]
+            T[r, stored] *= -1.0
         if r in slack_of_row:
             T[r, slack_of_row[r]] = -1.0 if flip else 1.0
         if r in art_of_row:
@@ -170,11 +186,11 @@ def test_start_tableau_matches_row_loop():
         solver = SimplexSolver(c, A, senses, b, lb, ub)
         crash = np.where([n.startswith("p_") for n in names], ub, lb)
         starts += [(solver, lb), (solver, crash)]
-    mixed = _solver([1, 1], [[1, 2], [3, 1], [1, 1]], ["<=", ">=", "="], [4, 6, 2],
-                    [0, 0], [np.inf] * 2)
-    starts.append((mixed, np.zeros(2)))
+    mixed = _solvers([1, 1], [[1, 2], [3, 1], [1, 1]], ["<=", ">=", "="], [4, 6, 2],
+                     [0, 0], [np.inf] * 2)
+    starts += [(solver, np.zeros(2)) for solver in mixed]
     for solver, x0 in starts:
-        b0 = solver.b - solver.A @ x0
+        b0 = solver.b - solver.row_sign * (solver.A @ x0)
         got = solver._start_tableau(b0)
         want = _loop_start_tableau(solver, b0)
         for g, w in zip(got[:3], want[:3]):

@@ -1,14 +1,17 @@
 import logging
 import math
 
+import numpy as np
 import pytest
 
+from efp import solver
 from efp.core import validate_instance
 from efp.formulations import ALL_KINDS, FormulationKind, build, constraint_violations
 from efp.generators import generate, preset
 from efp.solver import (
     compare_relaxations,
     find_strict_instance,
+    model_arrays,
     primal_heuristic,
     solve_lp,
     solve_mip,
@@ -25,6 +28,26 @@ def _instances(count, size=5, base_seed=0):
         n = 8 if model == "popularity" else size
         out.append(generate(model, preset(model, n), base_seed + k))
     return out
+
+
+def _dict_loop_matrix(model):
+    """Dense A written entry by entry from the coefficient dicts: the reference."""
+    col = {v.name: j for j, v in enumerate(model.variables)}
+    A = np.zeros((len(model.constraints), len(model.variables)))
+    for r, con in enumerate(model.constraints):
+        for name, coef in con.coeffs.items():
+            A[r, col[name]] = coef
+    return A
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_model_arrays_is_the_dense_view_of_the_solver_matrix(fig1, kind):
+    for inst in (fig1, generate("popularity", preset("popularity", 8), 0)):
+        model = build(inst, kind)
+        dense = model_arrays(model)[2]
+        assert type(dense) is np.ndarray
+        assert dense.tobytes() == solver._arrays(model)[2].toarray().tobytes()
+        assert dense.tobytes() == _dict_loop_matrix(model).tobytes()
 
 
 def test_relaxation_bounds_integral_optimum(fig1):
