@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .core import Instance
 from .formulations import FormulationKind, build
 from .generators import generate, preset
-from .solver import MipResult, solve_mip
+from .solver import MipResult, _check_limits, solve_mip
 
 log = logging.getLogger("efp.benchmark")
 
@@ -167,8 +167,9 @@ def run_benchmark(
     """Cartesian product of sizes x seeds x formulations on one model.
 
     Individual failures are recorded as rows with status "error" and the run
-    continues.
+    continues; invalid limits raise InvalidLimitError before any solve.
     """
+    _check_limits(time_limit, None, gap_tolerance)
     rows: list[BenchmarkRow] = []
     for size in sizes:
         for seed in range(num_seeds):

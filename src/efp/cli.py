@@ -30,7 +30,12 @@ from .geometric import (
     round_pricing_half,
 )
 from .oracle import brute_force_optimal
-from .solver import compare_relaxations, find_strict_instance, solve_mip
+from .solver import (
+    InvalidLimitError,
+    compare_relaxations,
+    find_strict_instance,
+    solve_mip,
+)
 
 log = logging.getLogger("efp.cli")
 
@@ -41,6 +46,7 @@ INVARIANT_ERROR = 2
 _INPUT_ERRORS = (
     InvalidConfigError,
     InvalidEpsilonError,
+    InvalidLimitError,
     NonPositiveApexError,
     TooLargeError,
 )
@@ -175,6 +181,8 @@ def cmd_solve(args) -> int:
 
 def cmd_relax(args) -> int:
     if args.find_strict:
+        if args.budget < 1:
+            raise CliError(f"--budget must be at least 1, got {args.budget}")
         found = find_strict_instance(
             args.find_strict, budget=args.budget, base_seed=args.seed
         )
@@ -277,6 +285,8 @@ def cmd_benchmark(args) -> int:
         raise CliError("benchmark needs --output <csv path>")
     if args.model not in MODELS:
         raise CliError(f"unknown model {args.model!r}")
+    if args.seeds < 1:
+        raise CliError(f"--seeds must be at least 1, got {args.seeds}")
     try:
         sizes = [int(tok) for tok in args.sizes.split(",")]
     except ValueError:
@@ -302,18 +312,22 @@ def cmd_benchmark(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = _Parser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    shared.add_argument("--output", type=str, default=None, help="output file path")
-    shared.add_argument(
+    # flag groups; each command takes only the groups whose flags it reads
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    output = _Parser(add_help=False)
+    output.add_argument("--output", type=str, default=None, help="output file path")
+    limits = _Parser(add_help=False)
+    limits.add_argument(
         "--time-limit", type=float, default=60.0,
         help="per-solve wall-clock limit in seconds (default 60)",
     )
-    shared.add_argument(
+    limits.add_argument(
         "--tolerance", type=float, default=1e-6,
         help="relative MIP gap tolerance (default 1e-6)",
     )
-    shared.add_argument(
+    price = _Parser(add_help=False)
+    price.add_argument(
         "--no-price-bound", action="store_true",
         help="drop the per-item price cap from the formulations",
     )
@@ -321,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="efp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("generate", parents=[shared], help="write a random instance")
+    p = sub.add_parser(
+        "generate", parents=[seed, output], help="write a random instance"
+    )
     p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--n", required=True, type=int, help="items = bidders = n")
     p.add_argument(
@@ -330,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("solve", parents=[shared], help="solve an instance file")
+    p = sub.add_parser(
+        "solve", parents=[output, limits, price], help="solve an instance file"
+    )
     p.add_argument("instance")
     p.add_argument(
         "--formulation", default="U",
@@ -340,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser(
-        "relax", parents=[shared], aliases=["compare-relaxations"],
+        "relax", parents=[seed, output, price], aliases=["compare-relaxations"],
         help="compare the five linear relaxations",
     )
     p.add_argument("instances", nargs="*")
@@ -351,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=500, help="search budget")
     p.set_defaults(func=cmd_relax)
 
-    p = sub.add_parser("round", parents=[shared], help="geometric price rounding")
+    p = sub.add_parser(
+        "round", parents=[limits, price], help="geometric price rounding"
+    )
     p.add_argument("instance")
     p.add_argument("--prices", default=None, help="comma-separated price vector")
     p.add_argument(
@@ -360,11 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_round)
 
-    p = sub.add_parser("oracle", parents=[shared], help="candidate-price brute force")
+    p = sub.add_parser("oracle", help="candidate-price brute force")
     p.add_argument("instance")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("benchmark", parents=[shared], help="sweep sizes and seeds")
+    p = sub.add_parser(
+        "benchmark", parents=[output, limits, price], help="sweep sizes and seeds"
+    )
     p.add_argument("--model", required=True)
     p.add_argument("--sizes", required=True, help="comma-separated instance sizes")
     p.add_argument("--seeds", type=int, default=5, help="seeds 0..k-1 (default 5)")

@@ -36,6 +36,10 @@ ORDER_TOL = 1e-6
 INTEGRALITY_TOL = 1e-6
 
 
+class InvalidLimitError(ValueError):
+    """A time limit, node limit or gap tolerance outside its domain."""
+
+
 @dataclass(frozen=True)
 class LpSolution:
     """Result of one linear-relaxation solve."""
@@ -145,6 +149,25 @@ def _branch_variable(x: np.ndarray, int_idx: np.ndarray) -> Optional[int]:
     return int(int_idx[pick])
 
 
+def _check_limits(
+    time_limit: Optional[float], node_limit: Optional[int], gap_tolerance: float
+) -> None:
+    """Reject limits under which a search would report a wrong bound.
+
+    A NaN tolerance fails every prune and push comparison, so no child is
+    ever queued and the root incumbent comes back as the bound; a negative
+    one reports a gap of 0 as "feasible".
+    """
+    if not (math.isfinite(gap_tolerance) and gap_tolerance >= 0):
+        raise InvalidLimitError(
+            f"gap tolerance must be finite and >= 0, got {gap_tolerance}"
+        )
+    if time_limit is not None and not time_limit > 0:
+        raise InvalidLimitError(f"time limit must be > 0 seconds, got {time_limit}")
+    if node_limit is not None and not node_limit >= 1:
+        raise InvalidLimitError(f"node limit must be >= 1, got {node_limit}")
+
+
 def solve_mip(
     model: MipModel,
     inst: Instance,
@@ -156,8 +179,11 @@ def solve_mip(
     """Best-bound branch-and-bound over the binary assignment variables.
 
     Limits never fail the solve: hitting one reports status "feasible" with
-    the incumbent found so far and the honest remaining bound.
+    the incumbent found so far and the honest remaining bound.  Raises
+    InvalidLimitError unless gap_tolerance is finite and >= 0, time_limit
+    is None or > 0 and node_limit is None or >= 1.
     """
+    _check_limits(time_limit, node_limit, gap_tolerance)
     start = time.perf_counter()
     _, solver, prices, int_idx = _setup(model)
 

@@ -198,9 +198,26 @@ def test_round_dimension_mismatch(fig1_path):
         ["round", "{fig1}", "--prices", "nan,6,3", "--eps", "0.5"],
         ["round", "{no_edges}", "--prices", "0"],
         ["oracle", "{twelve_items}"],
+        ["solve", "{fig1}", "--tolerance", "nan"],
+        ["solve", "{fig1}", "--tolerance", "-1"],
+        ["solve", "{fig1}", "--time-limit", "nan"],
+        ["solve", "{fig1}", "--time-limit", "-5"],
+        ["solve", "{fig1}", "--node-limit", "0"],
+        ["round", "{fig1}", "--eps", "0.5", "--tolerance", "nan"],
+        ["benchmark", "--model", "popularity", "--sizes", "4", "--tolerance", "nan",
+         "--output", "{out}"],
+        ["benchmark", "--model", "popularity", "--sizes", "4", "--seeds", "0",
+         "--output", "{out}"],
+        ["relax", "--find-strict", "i-stm", "--budget", "-1"],
+        ["oracle", "{fig1}", "--seed", "1"],
+        ["generate", "--model", "popularity", "--n", "4", "--time-limit", "5",
+         "--output", "{out}"],
     ],
     ids=["n1", "edge-budget", "sizes1", "eps2", "eps0", "negative-price",
-         "nan-price", "no-edges", "oracle-too-large"],
+         "nan-price", "no-edges", "oracle-too-large", "tolerance-nan",
+         "tolerance-negative", "time-limit-nan", "time-limit-negative",
+         "node-limit-0", "round-tolerance-nan", "benchmark-tolerance-nan",
+         "seeds0", "budget-negative", "oracle-dead-flag", "generate-dead-flag"],
 )
 def test_input_errors_exit_1(args, fig1_path, tmp_path, capsys):
     no_edges = tmp_path / "no_edges.efp"

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -18,12 +21,20 @@ from efp.formulations import (
     extract_outcome,
     objective_value,
 )
-from efp.generators import SeededRng
+from efp.generators import MODELS, SeededRng, generate, preset
 from efp.solver import solve_lp
 
-from conftest import random_instance, random_pricing
+from conftest import make_fig1, random_instance, random_pricing
 from lp_text import parse_lp_text
 
+GOLDEN = Path(__file__).parent / "golden"
+
+# bidder 1 values items 1 and 2 equally and bidder 2 values one item only, so
+# STM's envy rows meet v_ib == v_kb, whose zero coefficient build() leaves out;
+# the worked instance never does
+TIED = validate_instance(
+    3, 3, [(0, 0, 4.0), (1, 0, 4.0), (2, 1, 2.5), (0, 2, 3.0), (1, 2, 5.0), (2, 2, 1.5)]
+)
 
 EXPECTED_SIZES = {  # (variables, constraints) on the 3x4 worked instance
     FormulationKind.STM: (27, 52),
@@ -86,6 +97,32 @@ def test_lp_text_sections(fig1):
     binaries = text.split("Binaries")[1].split("End")[0].split()
     assert len(binaries) == 12
     assert export_lp_text(build(fig1, FormulationKind.STM)) == text
+
+
+def _model_digests() -> dict[str, str]:
+    """SHA-256 of every LP export on the pinned markets, both price caps."""
+    markets = {"fig1": make_fig1(), "tied": TIED}
+    for model in MODELS:
+        markets[f"{model}-n15-s0"] = generate(model, preset(model, 15), 0)
+    return {
+        f"{name} {kind.value} {'capped' if cap else 'uncapped'}": hashlib.sha256(
+            export_lp_text(build(inst, kind, price_bound=cap)).encode()
+        ).hexdigest()
+        for name, inst in markets.items()
+        for kind in ALL_KINDS
+        for cap in (True, False)
+    }
+
+
+def test_models_match_golden(fig1):
+    # every coefficient of every model is pinned, binding or not; after an
+    # intended model change, rewrite tests/golden/fig1_<kind>.lp with
+    # export_lp_text and build_digests.json with _model_digests()
+    for kind in ALL_KINDS:
+        golden = (GOLDEN / f"fig1_{kind.value}.lp").read_text()
+        assert export_lp_text(build(fig1, kind)) == golden, kind
+    pinned = json.loads((GOLDEN / "build_digests.json").read_text())
+    assert _model_digests() == pinned
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from efp import solver
+from efp.benchmark import run_benchmark
 from efp.core import validate_instance
 from efp.formulations import ALL_KINDS, FormulationKind, build, constraint_violations
 from efp.generators import generate, preset
 from efp.solver import (
+    InvalidLimitError,
     compare_relaxations,
     find_strict_instance,
     model_arrays,
@@ -136,6 +138,31 @@ def test_time_limit_reports_feasible():
     assert result.status == "feasible"
     assert result.gap > 0
     assert result.bound >= result.incumbent_value - 1e-6
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [
+        {"gap_tolerance": math.nan},
+        {"gap_tolerance": -1.0},
+        {"gap_tolerance": math.inf},
+        {"time_limit": math.nan},
+        {"time_limit": 0.0},
+        {"time_limit": -5.0},
+        {"node_limit": 0},
+    ],
+    ids=["tol-nan", "tol-negative", "tol-inf", "time-nan", "time-0", "time-negative",
+         "nodes-0"],
+)
+def test_invalid_limits_raise(fig1, limits):
+    # under a NaN tolerance no child is queued and fig1's root incumbent 20
+    # comes back as the bound, below the optimum 21; the benchmark sweep must
+    # check before its first solve, or each solve becomes an "error" row
+    with pytest.raises(InvalidLimitError):
+        solve_mip(build(fig1, FormulationKind.U), fig1, **limits)
+    if "node_limit" not in limits:
+        with pytest.raises(InvalidLimitError):
+            run_benchmark("popularity", [4], 1, [FormulationKind.U], **limits)
 
 
 def test_relaxation_ordering_holds():
