@@ -32,6 +32,7 @@ from .geometric import (
 from .oracle import brute_force_optimal
 from .solver import (
     InvalidLimitError,
+    _check_limits,
     compare_relaxations,
     find_strict_instance,
     solve_mip,
@@ -226,6 +227,8 @@ def cmd_relax(args) -> int:
 
 def cmd_round(args) -> int:
     inst = _load(args.instance)
+    # the flags are checked even when --prices leaves them unused
+    _check_limits(args.time_limit, None, args.tolerance)
     if args.prices:
         try:
             values = tuple(float(tok) for tok in args.prices.split(","))
@@ -410,7 +413,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (efp ... | head); send what is still buffered
+        # to devnull so the flush at exit does not raise again, and exit 1
+        # as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

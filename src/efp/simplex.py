@@ -9,22 +9,38 @@ the starting point violates; a crash start can place selected variables at
 their upper bound, which for the pricing models makes the slack basis
 feasible and skips phase 1 entirely.
 
+A solve can instead start from an earlier optimal tableau of the same solver
+under other bounds (``start_from``), as branch-and-bound does for the second
+child of a node.  Reduced costs do not depend on bounds, so that basis stays
+dual feasible; moving the changed variables to their new bounds leaves only
+basic values out of bounds, and a bounded dual simplex clears them: the row
+with the largest bound violation leaves, and the entering column is the
+nonbasic that can move that row the right way at the least |d_k / a_rk|.  The
+primal loop then runs as a clean-up.  The earlier tableau is updated in
+place and given up by the result that held it.
+
 The tableau is never refactorised, so drift can end a run at a basis whose
 point breaks the rows.  An "optimal" point is therefore checked against the
 rows and bounds before it is returned; one that fails is re-solved from the
 slack basis, and a second failure is status "numerical" with the first point.
+A warm "infeasible" is confirmed by the cold solve the LP would get without
+a warm start.
 
 Pricing is Devex (approximate steepest edge); Bland's rule engages after a
-run of degenerate pivots to guarantee termination.  A is held once, sparse
-(CSR; a dense A is converted on entry), with >= rows folded in by a +-1 row
-sign.  Only the tableau is dense, kept Fortran-ordered so the rank-1 pivot
-update runs as one in-place BLAS ger call; desk-scale models stay within a
-few thousand columns.
+run of degenerate pivots to guarantee termination, in both loops.  A
+deadline (an absolute ``time.perf_counter()`` value) is checked once per
+pivot; a loop that passes it stops with status "time-limit".  A is held once,
+sparse (CSR; a dense A is converted on entry), with >= rows folded in by a
++-1 row sign.  Only the tableau is dense, kept Fortran-ordered so the rank-1
+pivot update runs as one in-place BLAS ger call; desk-scale models stay
+within a few thousand columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -40,16 +56,33 @@ RESIDUAL_TOL = 1e-6  # relative row and bound slack an "optimal" x may show
 _LOWER, _UPPER, _BASIC = 0, 1, 2
 
 
+class _Tableau(NamedTuple):
+    """An optimal tableau in the shifted variables y = x - lob."""
+
+    T: np.ndarray
+    val: np.ndarray  # basic values
+    basis: np.ndarray
+    vstat: np.ndarray
+    ubp: np.ndarray  # upper bounds of y
+    d: np.ndarray  # phase-2 reduced costs
+    lob: np.ndarray
+
+
 @dataclass
 class SimplexResult:
-    status: str  # optimal | infeasible | unbounded | iteration-limit | numerical
+    # optimal | infeasible | unbounded | iteration-limit | time-limit | numerical
+    status: str
     objective: float
     x: np.ndarray | None
     iterations: int
+    # the final tableau of an optimal solve asked to keep it, until a
+    # start_from solve takes it over
+    tableau: _Tableau | None = field(default=None, repr=False, compare=False)
 
 
 class SimplexSolver:
-    """Reusable standard-form data; each solve() call owns its tableau.
+    """Reusable standard-form data; each solve() call builds its own tableau
+    or takes over a kept one (start_from).
 
     Bounds passed to solve() override the stored ones, which is how
     branch-and-bound fixes binaries without rebuilding the matrix.
@@ -88,17 +121,65 @@ class SimplexSolver:
         *,
         start_at_upper: np.ndarray | None = None,
         max_iterations: int = 10**6,
+        deadline: float | None = None,
+        start_from: SimplexResult | None = None,
+        keep_tableau: bool = False,
     ) -> SimplexResult:
-        """Solve under optional bound overrides; an "optimal" x is verified."""
+        """Solve under optional bound overrides; an "optimal" x is verified.
+
+        start_from is an earlier result of this solver that kept its tableau
+        (keep_tableau=True); the solve re-optimises that tableau in place
+        under the new bounds and takes it from start_from.  Without a kept
+        tableau the solve starts cold, crash-started by start_at_upper.
+        deadline is an absolute time.perf_counter() value.
+        """
         lob = self.lb if lb is None else np.asarray(lb, dtype=float)
         upb = self.ub if ub is None else np.asarray(ub, dtype=float)
-        first = self._solve(lob, upb, start_at_upper, max_iterations)
-        if first.status != "optimal" or self._feasible(first.x, lob, upb):
-            return first
-        retry = self._solve(lob, upb, None, max_iterations - first.iterations)
+        if start_from is None or start_from.tableau is None:
+            result = self._cold(lob, upb, start_at_upper, max_iterations, deadline)
+        else:
+            result = self._resolve(start_from, lob, upb, max_iterations, deadline)
+            if result.status == "infeasible":
+                # confirmed by the solve this LP gets without a warm start
+                cold = self._cold(
+                    lob, upb, start_at_upper, max_iterations - result.iterations,
+                    deadline,
+                )
+                result = replace(cold, iterations=result.iterations + cold.iterations)
+            elif result.status == "optimal" and not self._feasible(result.x, lob, upb):
+                result = self._retry(result, lob, upb, max_iterations, deadline)
+        if not keep_tableau:
+            result.tableau = None
+        return result
+
+    def _cold(
+        self,
+        lob: np.ndarray,
+        upb: np.ndarray,
+        start_at_upper: np.ndarray | None,
+        max_iterations: int,
+        deadline: float | None,
+    ) -> SimplexResult:
+        """Crash-started solve, re-solved from the slack basis if its check fails."""
+        first = self._solve(lob, upb, start_at_upper, max_iterations, deadline)
+        if first.status == "optimal" and not self._feasible(first.x, lob, upb):
+            return self._retry(first, lob, upb, max_iterations, deadline)
+        return first
+
+    def _retry(
+        self,
+        first: SimplexResult,
+        lob: np.ndarray,
+        upb: np.ndarray,
+        max_iterations: int,
+        deadline: float | None,
+    ) -> SimplexResult:
+        """Re-solve from the slack basis after first's point failed its check."""
+        first.tableau = None  # one tableau alive at a time
+        retry = self._solve(lob, upb, None, max_iterations - first.iterations, deadline)
         iterations = first.iterations + retry.iterations
         if retry.status == "optimal" and self._feasible(retry.x, lob, upb):
-            return SimplexResult("optimal", retry.objective, retry.x, iterations)
+            return replace(retry, iterations=iterations)
         return SimplexResult("numerical", first.objective, first.x, iterations)
 
     def _feasible(self, x: np.ndarray, lob: np.ndarray, upb: np.ndarray) -> bool:
@@ -117,6 +198,7 @@ class SimplexSolver:
         upb: np.ndarray,
         start_at_upper: np.ndarray | None,
         max_iterations: int,
+        deadline: float | None,
     ) -> SimplexResult:
         nv = self.nvars
         m = len(self.b)
@@ -148,7 +230,7 @@ class SimplexSolver:
             c1[art_start:] = -1.0
             d = c1 - c1[basis] @ T
             status, iterations = self._iterate(
-                T, val, basis, vstat, ubp, d, max_iterations, iterations
+                T, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
             )
             if status != "optimal":
                 return self._result(status, val, basis, vstat, ubp, lob, iterations)
@@ -161,9 +243,55 @@ class SimplexSolver:
         cfull[:nv] = self.c
         d = cfull - cfull[basis] @ T if m else cfull.copy()
         status, iterations = self._iterate(
-            T, val, basis, vstat, ubp, d, max_iterations, iterations
+            T, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
         )
-        return self._result(status, val, basis, vstat, ubp, lob, iterations)
+        return self._result(
+            status, val, basis, vstat, ubp, lob, iterations, _Tableau(
+                T, val, basis, vstat, ubp, d, lob
+            )
+        )
+
+    def _resolve(
+        self,
+        start: SimplexResult,
+        lob: np.ndarray,
+        upb: np.ndarray,
+        max_iterations: int,
+        deadline: float | None,
+    ) -> SimplexResult:
+        """Re-optimise start's tableau under new bounds: dual, then primal."""
+        T, val, basis, vstat, ubp, d, old_lob = start.tableau
+        start.tableau = None
+        nv = self.nvars
+        span = upb - lob
+        if np.any(span < -1e-12):
+            return SimplexResult("infeasible", float("nan"), None, 0)
+        span = np.maximum(span, 0.0)
+
+        # every structural keeps its status and moves with its bound; the
+        # basic values absorb the move, val -= T[:, k] * shift_k (a basic k
+        # has the unit column, so only its own row shifts)
+        stat = vstat[:nv]
+        old_x = old_lob + np.where(stat == _UPPER, ubp[:nv], 0.0)
+        stat[(stat == _UPPER) & np.isinf(span)] = _LOWER
+        shift = lob + np.where(stat == _UPPER, span, 0.0) - old_x
+        moved = np.flatnonzero(shift)
+        if moved.size:
+            val -= T[:, moved] @ shift[moved]
+        ubp[:nv] = span
+
+        status, iterations = self._dual_iterate(
+            T, val, basis, vstat, ubp, d, max_iterations, 0, deadline
+        )
+        if status == "optimal":
+            status, iterations = self._iterate(
+                T, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
+            )
+        return self._result(
+            status, val, basis, vstat, ubp, lob, iterations, _Tableau(
+                T, val, basis, vstat, ubp, d, lob
+            )
+        )
 
     def _start_tableau(self, b0: np.ndarray):
         """Tableau, basic values, basis and first artificial column at b0 = b - A x0.
@@ -200,11 +328,14 @@ class SimplexSolver:
         ubp: np.ndarray,
         lob: np.ndarray,
         iterations: int,
+        tableau: _Tableau | None = None,
     ) -> SimplexResult:
         y = np.where(vstat == _UPPER, ubp, 0.0)
         y[basis] = val
         x = y[: self.nvars] + lob
-        return SimplexResult(status, float(self.c @ x), x, iterations)
+        if status != "optimal":
+            tableau = None
+        return SimplexResult(status, float(self.c @ x), x, iterations, tableau)
 
     @staticmethod
     def _iterate(
@@ -216,7 +347,9 @@ class SimplexSolver:
         d: np.ndarray,
         max_iterations: int,
         iterations: int,
+        deadline: float | None,
     ) -> tuple[str, int]:
+        """Primal simplex from a primal feasible basis."""
         m, K = T.shape
         degenerate = 0
         weight = np.ones(K)  # Devex reference weights
@@ -231,6 +364,8 @@ class SimplexSolver:
                 return "optimal", iterations
             if iterations >= max_iterations:
                 return "iteration-limit", iterations
+            if deadline is not None and time.perf_counter() > deadline:
+                return "time-limit", iterations
             iterations += 1
             candidates = np.flatnonzero(improving)
             if bland:
@@ -273,29 +408,119 @@ class SimplexSolver:
             else:
                 r = int(ties[np.argmax(np.abs(g[ties]))])
             t = float(t_row[r])
-            leave_to_lower = t_low[r] <= t_up[r]
             if t < DEGENERATE_STEP:
                 degenerate += 1
 
             val -= t * g
-            entering_val = (0.0 if dirn > 0 else ubp[e]) + dirn * t
             leaving = basis[r]
-            vstat[leaving] = _LOWER if leave_to_lower else _UPPER
-            vstat[e] = _BASIC
-            basis[r] = e
-
             piv = T[r, e]
-            row = T[r] / piv  # fresh contiguous array
-            T[r] = row
-            col = T[:, e].copy()
-            col[r] = 0.0
-            dger(-1.0, col, row, a=T, overwrite_a=1)
-            d -= d[e] * row
+            row = _pivot(
+                T, val, basis, vstat, d, r, e,
+                (0.0 if dirn > 0 else ubp[e]) + dirn * t,
+                _LOWER if t_low[r] <= t_up[r] else _UPPER,
+            )
             # Devex weight propagation onto the reference framework
             w_e = weight[e]
             np.maximum(weight, row * row * w_e, out=weight)
             weight[leaving] = max(w_e / (piv * piv), 1.0)
-            T[:, e] = 0.0
-            T[r, e] = 1.0
-            d[e] = 0.0
-            val[r] = entering_val
+
+    @staticmethod
+    def _dual_iterate(
+        T: np.ndarray,
+        val: np.ndarray,
+        basis: np.ndarray,
+        vstat: np.ndarray,
+        ubp: np.ndarray,
+        d: np.ndarray,
+        max_iterations: int,
+        iterations: int,
+        deadline: float | None,
+    ) -> tuple[str, int]:
+        """Bounded dual simplex from a dual feasible basis.
+
+        "optimal" here means primal feasible; "infeasible" means a row whose
+        basic value no nonbasic can move back towards its bound.
+        """
+        degenerate = 0
+        movable = ubp > 0.0
+        while True:
+            ub_basic = ubp[basis]
+            violation = np.maximum(-val, val - ub_basic)
+            rows = np.flatnonzero(violation > FEASIBILITY_TOL)
+            if not rows.size:
+                return "optimal", iterations
+            if iterations >= max_iterations:
+                return "iteration-limit", iterations
+            if deadline is not None and time.perf_counter() > deadline:
+                return "time-limit", iterations
+            iterations += 1
+            bland = degenerate > BLAND_TRIGGER
+            if bland:
+                r = int(rows[np.argmin(basis[rows])])
+            else:
+                r = int(rows[np.argmax(violation[rows])])
+            to_lower = val[r] < 0.0
+            target = 0.0 if to_lower else float(ub_basic[r])
+
+            # a nonbasic y_k moving off its bound by t changes the row's basic
+            # by -alpha_k * dirn_k * t; it is eligible when that is the way
+            # the basic must go
+            alpha = T[r]
+            dirn = np.where(vstat == _UPPER, -1.0, 1.0)
+            slope = alpha * dirn if to_lower else -alpha * dirn
+            eligible = np.flatnonzero(
+                movable & (vstat != _BASIC) & (slope < -PIVOT_TOL)
+            )
+            if not eligible.size:
+                return "infeasible", iterations
+            # dual ratio test: the least |d_k / alpha_k| keeps every reduced
+            # cost on its optimal side
+            ratio = np.abs(d[eligible] / alpha[eligible])
+            step = ratio.min()
+            ties = eligible[ratio <= step + 1e-12]
+            if bland:
+                e = int(ties[0])
+            else:
+                e = int(ties[np.argmax(np.abs(alpha[ties]))])
+            if step < DEGENERATE_STEP:
+                degenerate += 1
+
+            t = (val[r] - target) / alpha[e]  # change of y_e
+            val -= t * T[:, e]
+            _pivot(
+                T, val, basis, vstat, d, r, e,
+                (ubp[e] if vstat[e] == _UPPER else 0.0) + t,
+                _LOWER if to_lower else _UPPER,
+            )
+
+
+def _pivot(
+    T: np.ndarray,
+    val: np.ndarray,
+    basis: np.ndarray,
+    vstat: np.ndarray,
+    d: np.ndarray,
+    r: int,
+    e: int,
+    entering_val: float,
+    leaving_status: int,
+) -> np.ndarray:
+    """Column e enters the basis in row r; returns the new pivot row.
+
+    The caller has already moved val along column e; the leaving variable
+    rests at the bound given by leaving_status.
+    """
+    vstat[basis[r]] = leaving_status
+    vstat[e] = _BASIC
+    basis[r] = e
+    val[r] = entering_val
+    row = T[r] / T[r, e]  # fresh contiguous array
+    T[r] = row
+    col = T[:, e].copy()
+    col[r] = 0.0
+    dger(-1.0, col, row, a=T, overwrite_a=1)
+    d -= d[e] * row
+    T[:, e] = 0.0
+    T[r, e] = 1.0
+    d[e] = 0.0
+    return row

@@ -6,9 +6,12 @@ and feed the heuristic.  solve_lp evaluates a model's linear relaxation.
 solve_mip runs best-bound branch-and-bound on the binary assignment
 variables; primal_heuristic turns every node's fractional prices into the
 greedy envy-free allocation, which is always feasible, so the incumbent can
-improve at every node.  An LP counts as optimal only after its point passes
+improve at every node.  Of the two children of a node, x_j = 0 is solved
+from the crash start and x_j = 1 from its sibling's final tableau by the
+simplex's dual re-solve.  An LP counts as optimal only after its point passes
 the simplex's row and bound check; otherwise it is "numerical" and its bound
-is not trusted.  compare_relaxations evaluates all five relaxations of an
+is not trusted.  The time limit is a deadline inside every LP as well as
+between nodes.  compare_relaxations evaluates all five relaxations of an
 instance and flags any breach of the proven ordering LR_I <= LR_STM and
 LR_I <= LR_L <= LR_P <= LR_U as a solver bug.
 """
@@ -82,18 +85,22 @@ def _arrays(model: MipModel):
     names = [v.name for v in model.variables]
     index = {name: j for j, name in enumerate(names)}
     c = np.array([model.objective.get(name, 0.0) for name in names], dtype=float)
-    rows, cols, data, b, senses = [], [], [], [], []
-    for r, con in enumerate(model.constraints):
-        rows += [r] * len(con.coeffs)
-        cols += map(index.__getitem__, con.coeffs)
-        data += con.coeffs.values()
-        b.append(con.rhs)
-        senses.append(con.sense)
-    A = sparse.csr_array((data, (rows, cols)), shape=(len(b), len(names)), dtype=float)
+    cons = model.constraints
+    # CSR written directly, each row in its dict's order
+    indptr = np.cumsum([0] + [len(con.coeffs) for con in cons])
+    indices = np.fromiter(
+        (index[name] for con in cons for name in con.coeffs), dtype=np.intp
+    )
+    data = np.fromiter(
+        (coef for con in cons for coef in con.coeffs.values()), dtype=float
+    )
+    A = sparse.csr_array((data, indices, indptr), shape=(len(cons), len(names)))
+    b = np.array([con.rhs for con in cons], dtype=float)
+    senses = [con.sense for con in cons]
     lb = np.array([v.lower for v in model.variables])
     ub = np.array([v.upper for v in model.variables])
     integer = np.array([v.integer for v in model.variables], dtype=bool)
-    return names, c, A, senses, np.array(b, dtype=float), lb, ub, integer
+    return names, c, A, senses, b, lb, ub, integer
 
 
 def model_arrays(model: MipModel):
@@ -179,15 +186,17 @@ def solve_mip(
     """Best-bound branch-and-bound over the binary assignment variables.
 
     Limits never fail the solve: hitting one reports status "feasible" with
-    the incumbent found so far and the honest remaining bound.  Raises
+    the incumbent found so far and the honest remaining bound.  An LP cut
+    short by the time limit bounds nothing, so the bound is then inf.  Raises
     InvalidLimitError unless gap_tolerance is finite and >= 0, time_limit
     is None or > 0 and node_limit is None or >= 1.
     """
     _check_limits(time_limit, node_limit, gap_tolerance)
     start = time.perf_counter()
+    deadline = None if time_limit is None else start + time_limit
     _, solver, prices, int_idx = _setup(model)
 
-    root = solver.solve(start_at_upper=prices)
+    root = solver.solve(start_at_upper=prices, deadline=deadline)
     root_seconds = time.perf_counter() - start
     nodes = 1
     if root.status == "infeasible":
@@ -217,7 +226,7 @@ def solve_mip(
         )
 
     while open_nodes:
-        if time_limit is not None and time.perf_counter() - start > time_limit:
+        if deadline is not None and time.perf_counter() > deadline:
             break
         if node_limit is not None and nodes >= node_limit:
             break
@@ -228,12 +237,18 @@ def solve_mip(
         branch = _branch_variable(node_x, int_idx)
         if branch is None:
             continue
+        # child 1 re-solves child 0's final tableau in place
+        sibling = None
         for fixed in (0.0, 1.0):
             child_lb = node_lb.copy()
             child_ub = node_ub.copy()
             child_lb[branch] = fixed
             child_ub[branch] = fixed
-            child = solver.solve(child_lb, child_ub, start_at_upper=prices)
+            child = solver.solve(
+                child_lb, child_ub, start_at_upper=prices, deadline=deadline,
+                start_from=sibling, keep_tableau=sibling is None,
+            )
+            sibling = child
             nodes += 1
             if child.status == "infeasible":
                 continue
@@ -258,9 +273,11 @@ def solve_mip(
     gap = max(0.0, (bound - inc_val) / scale())
     status = "optimal" if gap <= gap_tolerance else "feasible"
     wall = time.perf_counter() - start
+    # a root LP cut short reached some point, not the relaxation's optimum
+    root_relaxation = root.objective if root.status == "optimal" else math.nan
     return MipResult(
         status, incumbent, inc_val, bound, gap, nodes, wall,
-        root.objective, root_seconds,
+        root_relaxation, root_seconds,
     )
 
 

@@ -204,6 +204,8 @@ def test_round_dimension_mismatch(fig1_path):
         ["solve", "{fig1}", "--time-limit", "-5"],
         ["solve", "{fig1}", "--node-limit", "0"],
         ["round", "{fig1}", "--eps", "0.5", "--tolerance", "nan"],
+        ["round", "{fig1}", "--prices", "6,6,3", "--tolerance", "nan", "--eps", "0.5"],
+        ["round", "{fig1}", "--prices", "6,6,3", "--time-limit", "-5"],
         ["benchmark", "--model", "popularity", "--sizes", "4", "--tolerance", "nan",
          "--output", "{out}"],
         ["benchmark", "--model", "popularity", "--sizes", "4", "--seeds", "0",
@@ -216,7 +218,8 @@ def test_round_dimension_mismatch(fig1_path):
     ids=["n1", "edge-budget", "sizes1", "eps2", "eps0", "negative-price",
          "nan-price", "no-edges", "oracle-too-large", "tolerance-nan",
          "tolerance-negative", "time-limit-nan", "time-limit-negative",
-         "node-limit-0", "round-tolerance-nan", "benchmark-tolerance-nan",
+         "node-limit-0", "round-tolerance-nan", "round-prices-tolerance-nan",
+         "round-prices-time-limit-negative", "benchmark-tolerance-nan",
          "seeds0", "budget-negative", "oracle-dead-flag", "generate-dead-flag"],
 )
 def test_input_errors_exit_1(args, fig1_path, tmp_path, capsys):
@@ -276,6 +279,26 @@ def test_module_entry_point(fig1_path):
     )
     assert done.returncode == 0
     assert "best_profit  21" in done.stdout
+
+
+def test_closed_stdout_exits_without_traceback(fig1_path):
+    # the reading end is closed before efp writes, as when `| head` has quit
+    import os
+    import subprocess
+    import sys
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "efp", "solve", fig1_path],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr
+    assert done.stderr == ""
+    assert done.returncode == 1
 
 
 def test_bad_log_level(monkeypatch):

@@ -1,9 +1,22 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from efp import simplex
-from efp.formulations import ALL_KINDS, FormulationKind, build, constraint_violations
+from efp import solver as solver_module
+from efp.core import validate_instance
+from efp.formulations import (
+    ALL_KINDS,
+    FormulationKind,
+    MipModel,
+    build,
+    constraint_violations,
+)
 from efp.generators import generate, preset
 from efp.simplex import SimplexSolver
 from efp.solver import compare_relaxations, model_arrays, solve_lp
@@ -231,3 +244,218 @@ def test_drifted_optimum_is_re_solved(model_name, seed):
     assert not constraint_violations(model, sol.values, tol=1e-6)
     report = compare_relaxations(inst)
     assert report.ok(), report
+
+
+def _lp(model):
+    """The solver, price mask and binary columns solve_mip uses for a model."""
+    _, lp, prices, int_idx = solver_module._setup(model)
+    return lp, prices, int_idx
+
+
+def _fixed(lp, j, value):
+    lb, ub = lp.lb.copy(), lp.ub.copy()
+    lb[j] = ub[j] = value
+    return lb, ub
+
+
+def _fractional(x, int_idx):
+    return [int(j) for j in int_idx if abs(x[j] - round(x[j])) > 1e-6]
+
+
+def _warm_child(lp, prices, j):
+    """Child x_j = 0 cold, then child x_j = 1 warm from it."""
+    child0 = lp.solve(*_fixed(lp, j, 0.0), start_at_upper=prices, keep_tableau=True)
+    warm = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices, start_from=child0)
+    assert child0.tableau is None and warm.tableau is None  # taken, not kept
+    return warm
+
+
+class _WarmSolves:
+    """Each warm re-solve's own result, before any cold fallback, and the
+    primal pivots run after its dual loop."""
+
+    def __init__(self, monkeypatch):
+        self.results = []
+        self.clean_up_pivots = 0
+        self._warm = False
+        resolve, iterate = SimplexSolver._resolve, SimplexSolver._iterate
+
+        def spy_resolve(lp, *args):
+            self._warm = True
+            try:
+                self.results.append(resolve(lp, *args))
+            finally:
+                self._warm = False
+            return self.results[-1]
+
+        def spy_iterate(*args):
+            status, iterations = iterate(*args)
+            if self._warm:
+                self.clean_up_pivots += iterations - args[7]
+            return status, iterations
+
+        monkeypatch.setattr(SimplexSolver, "_resolve", spy_resolve)
+        monkeypatch.setattr(SimplexSolver, "_iterate", staticmethod(spy_iterate))
+
+
+def _check_warm_children(model, spy, reference=False):
+    """Every fractional binary's warm child 1 against its cold solve.
+
+    The warm re-solve must reach the cold status by itself: a cold fallback
+    would hide a wrong warm answer.
+    """
+    lp, prices, int_idx = _lp(model)
+    root = lp.solve(start_at_upper=prices)
+    assert root.status == "optimal"
+    branches = _fractional(root.x, int_idx)
+    for k, j in enumerate(branches):
+        warm = _warm_child(lp, prices, j)
+        cold = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices)
+        assert warm.status == spy.results[-1].status == cold.status, (
+            j, spy.results[-1].status, cold.status,
+        )
+        if cold.status != "optimal":
+            continue
+        assert warm is spy.results[-1]  # passed its check, no cold re-solve
+        assert abs(warm.objective - cold.objective) <= 1e-9 * max(
+            1.0, abs(cold.objective)
+        ), (j, warm.objective, cold.objective)
+        if reference and k == 0:
+            name = model.variables[j].name
+            fixed = MipModel(
+                tuple(
+                    replace(v, lower=1.0, integer=False) if v.name == name else v
+                    for v in model.variables
+                ),
+                model.objective,
+                model.constraints,
+            )
+            assert warm.objective == pytest.approx(
+                reference_lp_optimum(fixed), abs=1e-6
+            )
+    return len(branches)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_warm_child_matches_cold(kind, monkeypatch):
+    spy = _WarmSolves(monkeypatch)
+    markets = [make_fig1()] + [
+        generate(name, preset(name, n), 0)
+        for name, n in (("characteristics", 6), ("neighborhood", 7), ("popularity", 8))
+    ]
+    branched = sum(
+        _check_warm_children(build(inst, kind), spy, reference=True)
+        for inst in markets
+    )
+    assert branched >= 10 and len(spy.results) == branched
+    # the dual ratio test keeps every reduced cost on its optimal side, so
+    # the basis the dual loop ends at is already optimal
+    assert spy.clean_up_pivots == 0
+
+
+@st.composite
+def _small_markets(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    values = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.5, 10.0)), min_size=m * n,
+            max_size=m * n,
+        )
+    )
+    edges = [(k // n, k % n, v) for k, v in enumerate(values) if v > 0]
+    return validate_instance(m, n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=_small_markets(), kind=st.sampled_from(ALL_KINDS))
+def test_warm_child_matches_cold_on_random_markets(inst, kind):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        spy = _WarmSolves(monkeypatch)
+        _check_warm_children(build(inst, kind), spy)
+        assert spy.clean_up_pivots == 0
+
+
+def _fig1_assign_conflict():
+    """fig1's U model with bidder 1 given item 1; x_3_1 = 1 then breaks assign_1."""
+    model = build(make_fig1(), FormulationKind.U)
+    names = [v.name for v in model.variables]
+    lp, prices, _ = _lp(model)
+    lp.lb[names.index("x_1_1")] = 1.0
+    return lp, prices, names.index("x_3_1")
+
+
+def test_warm_infeasible_is_confirmed_cold(monkeypatch):
+    lp, prices, j = _fig1_assign_conflict()
+    warm_status, cold_calls = [], []
+    resolve, solve = SimplexSolver._resolve, SimplexSolver._solve
+
+    def spy_resolve(self, *args):
+        result = resolve(self, *args)
+        warm_status.append((result.status, result.iterations))
+        return result
+
+    def spy_solve(self, lob, upb, start_at_upper, *args):
+        result = solve(self, lob, upb, start_at_upper, *args)
+        cold_calls.append((start_at_upper is prices, result.status, result.iterations))
+        return result
+
+    monkeypatch.setattr(SimplexSolver, "_resolve", spy_resolve)
+    monkeypatch.setattr(SimplexSolver, "_solve", spy_solve)
+    child = _warm_child(lp, prices, j)
+    assert child.status == "infeasible"
+    assert warm_status[0][0] == "infeasible"
+    # child 0, then the confirmation: both crash-started
+    assert [call[:2] for call in cold_calls] == [
+        (True, "optimal"), (True, "infeasible"),
+    ]
+    assert child.iterations == warm_status[0][1] + cold_calls[1][2]
+
+
+def test_rejected_warm_point_is_re_solved_cold(monkeypatch):
+    model = build(make_fig1(), FormulationKind.U)
+    lp, prices, int_idx = _lp(model)
+    root = lp.solve(start_at_upper=prices)
+    j = _fractional(root.x, int_idx)[0]
+    cold = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices)
+    child0 = lp.solve(*_fixed(lp, j, 0.0), start_at_upper=prices, keep_tableau=True)
+
+    warm_iterations, retries = [], []
+    feasible, resolve, solve = (
+        SimplexSolver._feasible, SimplexSolver._resolve, SimplexSolver._solve
+    )
+
+    def reject_warm_point(self, *args):
+        # the warm point is the one checked before any cold solve has run
+        return bool(retries) and feasible(self, *args)
+
+    def spy_resolve(self, *args):
+        result = resolve(self, *args)
+        warm_iterations.append(result.iterations)
+        return result
+
+    def spy_solve(self, *args):
+        result = solve(self, *args)
+        retries.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(SimplexSolver, "_feasible", reject_warm_point)
+    monkeypatch.setattr(SimplexSolver, "_resolve", spy_resolve)
+    monkeypatch.setattr(SimplexSolver, "_solve", spy_solve)
+    child = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices, start_from=child0)
+    assert child.status == "optimal"
+    assert child.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert len(retries) == 1
+    assert child.iterations == warm_iterations[0] + retries[0]
+
+
+def test_deadline_stops_the_lp():
+    model = build(make_fig1(), FormulationKind.U)
+    lp, prices, int_idx = _lp(model)
+    past = time.perf_counter()
+    assert lp.solve(start_at_upper=prices, deadline=past).status == "time-limit"
+    root = lp.solve(start_at_upper=prices)
+    j = _fractional(root.x, int_idx)[0]
+    child0 = lp.solve(*_fixed(lp, j, 0.0), start_at_upper=prices, keep_tableau=True)
+    child1 = lp.solve(*_fixed(lp, j, 1.0), start_from=child0, deadline=past)
+    assert child1.status == "time-limit"

@@ -1,5 +1,6 @@
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +139,19 @@ def test_time_limit_reports_feasible():
     assert result.status == "feasible"
     assert result.gap > 0
     assert result.bound >= result.incumbent_value - 1e-6
+
+
+def test_time_limit_holds_inside_the_root_lp():
+    # this market's root LP alone runs well past a second without a deadline
+    inst = generate("popularity", preset("popularity", 50), 0)
+    model = build(inst, FormulationKind.U)
+    start = time.perf_counter()
+    result = solve_mip(model, inst, time_limit=0.3)
+    assert time.perf_counter() - start < 1.0
+    assert result.status == "feasible"
+    assert result.bound == math.inf
+    assert math.isnan(result.root_relaxation)
+    assert result.incumbent is not None
 
 
 @pytest.mark.parametrize(
