@@ -85,22 +85,18 @@ def _arrays(model: MipModel):
     names = [v.name for v in model.variables]
     index = {name: j for j, name in enumerate(names)}
     c = np.array([model.objective.get(name, 0.0) for name in names], dtype=float)
-    cons = model.constraints
-    # CSR written directly, each row in its dict's order
-    indptr = np.cumsum([0] + [len(con.coeffs) for con in cons])
-    indices = np.fromiter(
-        (index[name] for con in cons for name in con.coeffs), dtype=np.intp
-    )
-    data = np.fromiter(
-        (coef for con in cons for coef in con.coeffs.values()), dtype=float
-    )
-    A = sparse.csr_array((data, indices, indptr), shape=(len(cons), len(names)))
-    b = np.array([con.rhs for con in cons], dtype=float)
-    senses = [con.sense for con in cons]
+    rows, cols, data, b, senses = [], [], [], [], []
+    for r, con in enumerate(model.constraints):
+        rows += [r] * len(con.coeffs)
+        cols += map(index.__getitem__, con.coeffs)
+        data += con.coeffs.values()
+        b.append(con.rhs)
+        senses.append(con.sense)
+    A = sparse.csr_array((data, (rows, cols)), shape=(len(b), len(names)), dtype=float)
     lb = np.array([v.lower for v in model.variables])
     ub = np.array([v.upper for v in model.variables])
     integer = np.array([v.integer for v in model.variables], dtype=bool)
-    return names, c, A, senses, b, lb, ub, integer
+    return names, c, A, senses, np.array(b, dtype=float), lb, ub, integer
 
 
 def model_arrays(model: MipModel):
@@ -186,8 +182,9 @@ def solve_mip(
     """Best-bound branch-and-bound over the binary assignment variables.
 
     Limits never fail the solve: hitting one reports status "feasible" with
-    the incumbent found so far and the honest remaining bound.  An LP cut
-    short by the time limit bounds nothing, so the bound is then inf.  Raises
+    the incumbent found so far and the honest remaining bound.  A node LP
+    cut short by the time limit puts its node back among the open ones, so
+    the bound stays finite; only a root LP cut short leaves it inf.  Raises
     InvalidLimitError unless gap_tolerance is finite and >= 0, time_limit
     is None or > 0 and node_limit is None or >= 1.
     """
@@ -208,8 +205,9 @@ def solve_mip(
     if root.status == "unbounded":
         raise RuntimeError("pricing formulations are bounded; unbounded LP is a bug")
 
-    # a node LP that stops early has no valid bound; if that ever happens the
-    # affected subtree is dropped and the final status downgraded
+    # a node LP that fails (numerically, or at the iteration limit) has no
+    # valid bound; if that ever happens the affected subtree is dropped and
+    # the final status downgraded
     searched_exhaustively = root.status == "optimal"
     incumbent = primal_heuristic(inst, root.x[prices])
     inc_val = incumbent.profit
@@ -225,12 +223,14 @@ def solve_mip(
             open_nodes, (-root.objective, counter, solver.lb, solver.ub, root.x)
         )
 
-    while open_nodes:
+    cut_short = False
+    while open_nodes and not cut_short:
         if deadline is not None and time.perf_counter() > deadline:
             break
         if node_limit is not None and nodes >= node_limit:
             break
-        neg_bound, _, node_lb, node_ub, node_x = heapq.heappop(open_nodes)
+        popped = heapq.heappop(open_nodes)
+        neg_bound, _, node_lb, node_ub, node_x = popped
         if -neg_bound <= inc_val + gap_tolerance * scale():
             open_nodes.clear()
             break
@@ -252,6 +252,11 @@ def solve_mip(
             nodes += 1
             if child.status == "infeasible":
                 continue
+            if child.status == "time-limit":
+                # the node's own bound still covers both children
+                heapq.heappush(open_nodes, popped)
+                cut_short = True
+                break
             if child.status != "optimal":
                 log.warning("node LP ended with status %s", child.status)
                 searched_exhaustively = False

@@ -154,6 +154,33 @@ def test_time_limit_holds_inside_the_root_lp():
     assert result.incumbent is not None
 
 
+@pytest.mark.parametrize("first_cut", [2, 3, 6])
+def test_deadline_inside_a_node_lp_keeps_a_finite_bound(monkeypatch, caplog, first_cut):
+    inst = _instances(1, size=8, base_seed=11)[0]
+    model = build(inst, FormulationKind.STM)
+    optimum = solve_mip(model, inst).incumbent_value
+    solve = solver.SimplexSolver.solve
+    statuses = []
+
+    def solve_past_deadline_from_the_nth_lp(self, *args, **kwargs):
+        if len(statuses) + 1 >= first_cut:
+            kwargs["deadline"] = -math.inf
+        result = solve(self, *args, **kwargs)
+        statuses.append(result.status)
+        return result
+
+    monkeypatch.setattr(solver.SimplexSolver, "solve", solve_past_deadline_from_the_nth_lp)
+    with caplog.at_level(logging.WARNING, logger="efp.solver"):
+        result = solve_mip(model, inst, time_limit=1000.0)
+    assert statuses[-1] == "time-limit"
+    assert statuses.count("time-limit") == 1
+    assert math.isfinite(result.bound)
+    assert result.bound >= result.incumbent_value
+    assert result.bound >= optimum - 1e-6
+    assert result.status == "feasible"
+    assert not caplog.records
+
+
 @pytest.mark.parametrize(
     "limits",
     [
