@@ -1,8 +1,12 @@
 """LP and MIP solving for the pricing formulations.
 
-solve_lp and solve_mip share one set-up: the model's arrays, the simplex
-built on them, and the price columns, which crash-start at their upper bound
-and feed the heuristic.  solve_lp evaluates a model's linear relaxation.
+solve_lp and solve_mip share one set-up: the model's arrays, a presolve that
+fixes dominated columns and drops rows that can never bind, the simplex
+built on what is left, and the price columns, which crash-start at their
+upper bound and feed the heuristic.  The presolve keeps the LP's value at
+every branch-and-bound node; every x it returns, and every objective, is
+mapped back to the model's full length.  solve_lp evaluates a model's linear
+relaxation.
 solve_mip runs best-bound branch-and-bound on the binary assignment
 variables; primal_heuristic turns every node's fractional prices into the
 greedy envy-free allocation, which is always feasible, so the incumbent can
@@ -23,7 +27,8 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain, compress
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
@@ -37,6 +42,10 @@ log = logging.getLogger("efp.solver")
 
 ORDER_TOL = 1e-6
 INTEGRALITY_TOL = 1e-6
+
+
+# the <= form of a row: a >= row is negated; an = row (0) has none
+_ROW_SIGN = {"<=": 1.0, ">=": -1.0, "=": 0.0}
 
 
 class InvalidLimitError(ValueError):
@@ -81,22 +90,30 @@ class RelaxationReport:
 
 
 def _arrays(model: MipModel):
-    """Names, c, CSR A, senses, b, lb, ub and integrality from the model's dicts."""
+    """Names, c, CSR A, senses, b, lb, ub and integrality from the model's dicts.
+
+    A's indptr, indices and data are written straight from the constraint
+    dicts; sorting each row's indices gives the canonical CSR form.
+    """
     names = [v.name for v in model.variables]
     index = {name: j for j, name in enumerate(names)}
     c = np.array([model.objective.get(name, 0.0) for name in names], dtype=float)
-    rows, cols, data, b, senses = [], [], [], [], []
-    for r, con in enumerate(model.constraints):
-        rows += [r] * len(con.coeffs)
-        cols += map(index.__getitem__, con.coeffs)
-        data += con.coeffs.values()
-        b.append(con.rhs)
-        senses.append(con.sense)
-    A = sparse.csr_array((data, (rows, cols)), shape=(len(b), len(names)), dtype=float)
-    lb = np.array([v.lower for v in model.variables])
-    ub = np.array([v.upper for v in model.variables])
+    coeffs = [con.coeffs for con in model.constraints]
+    indptr = np.zeros(len(coeffs) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, coeffs), np.int64, len(coeffs)), out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(coeffs)), np.int64, nnz
+    )
+    data = np.fromiter(chain.from_iterable(map(dict.values, coeffs)), float, nnz)
+    A = sparse.csr_array((data, indices, indptr), shape=(len(coeffs), len(names)))
+    A.sort_indices()
+    senses = [con.sense for con in model.constraints]
+    b = np.array([con.rhs for con in model.constraints], dtype=float)
+    lb = np.array([v.lower for v in model.variables], dtype=float)
+    ub = np.array([v.upper for v in model.variables], dtype=float)
     integer = np.array([v.integer for v in model.variables], dtype=bool)
-    return names, c, A, senses, np.array(b, dtype=float), lb, ub, integer
+    return names, c, A, senses, b, lb, ub, integer
 
 
 def model_arrays(model: MipModel):
@@ -105,28 +122,144 @@ def model_arrays(model: MipModel):
     return (names, c, A.toarray(), *rest)
 
 
-def _setup(model: MipModel):
-    """Names, simplex, price mask and binary positions of one model.
+def _presolve(c, A, senses, b, lb, ub, integer):
+    """The columns fixed at their lower bound and the rows the LP keeps.
 
-    The price mask marks p_1..p_n, which build() declares in item order, so
-    x[prices] is the price vector.  It doubles as the crash start: every
-    envy-style row holds when each price sits at the item's maximum
-    valuation, so the slack basis is feasible and phase 1 vanishes whenever
-    the price cap is active.
+    Every row is read in <= form, a >= row negated, as a x <= h.  Three
+    reductions keep the LP's value, and since branch-and-bound only tightens
+    bounds, also the value at every node:
+
+    1. A column with c_j <= 0, finite lb_j, no = row and no negative entry
+       is fixed at lb_j: lowering it keeps every row and cannot lower the
+       maximised objective.  In the five formulations these are the x_ib
+       with v_ib = 0.
+    2. A <= row r bounds each x_k with a_rk > 0 by lb_k + (h_r - minact_r)
+       / a_rk, where minact_r is the row's least activity.  In it, the
+       binaries of one packing row (rhs 1, every entry +1 on a binary)
+       count only their most negative entry, as at most one of them is 1.
+       These implied bounds are not written into the LP.
+    3. A <= row whose greatest activity, under the bounds tightened by the
+       implied ones, is at most its rhs is dropped, exactly, with no
+       tolerance.  A packing row and a row that supplies an implied bound
+       are kept, so the bounds the drop relies on stay in the LP.
+    """
+    m, n = A.shape
+    row = np.repeat(np.arange(m), np.diff(A.indptr))
+    col = A.indices
+    sign = np.fromiter(map(_ROW_SIGN.__getitem__, senses), float, m)
+    le = sign != 0
+    sign[~le] = 1.0
+    a = sign[row] * A.data
+
+    blocked = np.zeros(n, dtype=bool)
+    blocked[col[(a < 0) | ~le[row]]] = True
+    fixed = (c <= 0) & np.isfinite(lb) & ~blocked
+    h = sign * b - np.bincount(row, a * np.where(fixed, lb, 0.0)[col], minlength=m)
+
+    live = ~fixed[col] & (a != 0)
+    row, col, a = row[live], col[live], a[live]
+    pos = a > 0
+    # packing rows, and each binary's group: the first packing row it is in
+    binary = integer & (lb == 0) & (ub == 1)
+    unit = (a == 1) & binary[col]
+    packing = (
+        le & (h == 1)
+        & (np.bincount(row, minlength=m) > 0)
+        & (np.bincount(row[~unit], minlength=m) == 0)
+    )
+    group = np.full(n, m)
+    in_packing = packing[row]
+    np.minimum.at(group, col[in_packing], row[in_packing])
+
+    # least activity: a grouped binary adds only its group's most negative
+    # entry in the row, and nothing if its group has none there
+    grouped = group[col] < m
+    lo = a * np.where(pos, lb[col], ub[col])
+    minact = np.bincount(row[~grouped], lo[~grouped], minlength=m)
+    neg = grouped & ~pos
+    key = row[neg] * m + group[col[neg]]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(new)
+    least = np.minimum.reduceat(a[neg][order], starts) if key.size else key
+    minact += np.bincount(key[starts] // m, least, minlength=m)
+
+    # implied upper bounds, each with the first row that gives it
+    bounding = le[row] & pos & np.isfinite(minact[row])
+    brow, bcol = row[bounding], col[bounding]
+    bound = lb[bcol] + (h[brow] - minact[brow]) / a[bounding]
+    upper = ub.copy()
+    np.minimum.at(upper, bcol, bound)
+    tight = (bound < ub[bcol]) & (bound == upper[bcol])
+    supplier = np.full(n, m)
+    np.minimum.at(supplier, bcol[tight], brow[tight])
+    keep = packing.copy()
+    keep[supplier[supplier < m]] = True
+
+    maxact = np.bincount(row, a * np.where(pos, upper[col], lb[col]), minlength=m)
+    return fixed, keep | ~le | (maxact > h)
+
+
+class _Setup(NamedTuple):
+    """One model's presolved LP and the way back to the model's columns."""
+
+    names: list[str]
+    lp: SimplexSolver  # on the kept columns and rows only
+    start: np.ndarray  # the lp's price columns: its crash start
+    binaries: np.ndarray  # the lp's binary columns
+    columns: np.ndarray  # model position of each lp column
+    fixed_x: np.ndarray  # full-length x: fixed columns at their value, 0 elsewhere
+    offset: float  # c @ fixed_x, the fixed columns' share of the objective
+    prices: np.ndarray  # model positions of p_1..p_n
+
+    def full(self, x: np.ndarray) -> np.ndarray:
+        """The lp's x at full length, in model positions."""
+        out = self.fixed_x.copy()
+        out[self.columns] = x
+        return out
+
+
+def _setup(model: MipModel) -> _Setup:
+    """The presolved LP of one model, its price columns and binary positions.
+
+    The LP keeps the columns and rows _presolve leaves, so its objective
+    lacks the fixed columns' offset and full() maps its x back.  build()
+    declares p_1..p_n in item order, so full(x)[prices] is the price vector.
+    The price columns double as the crash start: every envy-style row holds
+    when each price sits at the item's maximum valuation, so the slack basis
+    is feasible and phase 1 vanishes whenever the price cap is active.
     """
     names, c, A, senses, b, lb, ub, integer = _arrays(model)
-    prices = np.array([name.startswith("p_") for name in names], dtype=bool)
-    return names, SimplexSolver(c, A, senses, b, lb, ub), prices, np.flatnonzero(integer)
+    fixed, rows = _presolve(c, A, senses, b, lb, ub, integer)
+    fixed_x = np.where(fixed, lb, 0.0)
+    columns = np.flatnonzero(~fixed)
+    # A's kept entries, counted up to the end of each kept row, give indptr
+    kept = np.repeat(rows, np.diff(A.indptr)) & ~fixed[A.indices]
+    counted = np.concatenate(([0], np.cumsum(kept)))[A.indptr]
+    indptr = counted[np.concatenate(([0], np.flatnonzero(rows) + 1))]
+    indices = (np.cumsum(~fixed) - 1)[A.indices[kept]]
+    reduced = sparse.csr_array(
+        (A.data[kept], indices, indptr), shape=(indptr.size - 1, columns.size)
+    )
+    lp = SimplexSolver(
+        c[columns], reduced, list(compress(senses, rows)), (b - A @ fixed_x)[rows],
+        lb[columns], ub[columns],
+    )
+    is_price = np.array([name.startswith("p_") for name in names], dtype=bool)
+    return _Setup(
+        names, lp, is_price[columns], np.flatnonzero(integer[columns]), columns,
+        fixed_x, float(c @ fixed_x), np.flatnonzero(is_price),
+    )
 
 
 def solve_lp(model: MipModel, *, max_iterations: int = 10**6) -> LpSolution:
     """Solve the linear relaxation of a model (integrality is ignored)."""
-    names, solver, prices, _ = _setup(model)
-    res = solver.solve(start_at_upper=prices, max_iterations=max_iterations)
-    values = (
-        {name: float(x) for name, x in zip(names, res.x)} if res.x is not None else {}
-    )
-    return LpSolution(res.status, res.objective, values, res.iterations)
+    s = _setup(model)
+    res = s.lp.solve(start_at_upper=s.start, max_iterations=max_iterations)
+    values = dict(zip(s.names, s.full(res.x).tolist())) if res.x is not None else {}
+    return LpSolution(res.status, res.objective + s.offset, values, res.iterations)
 
 
 def primal_heuristic(inst: Instance, prices) -> Outcome:
@@ -191,9 +324,10 @@ def solve_mip(
     _check_limits(time_limit, node_limit, gap_tolerance)
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
-    _, solver, prices, int_idx = _setup(model)
+    s = _setup(model)
+    lp = s.lp
 
-    root = solver.solve(start_at_upper=prices, deadline=deadline)
+    root = lp.solve(start_at_upper=s.start, deadline=deadline)
     root_seconds = time.perf_counter() - start
     nodes = 1
     if root.status == "infeasible":
@@ -209,7 +343,7 @@ def solve_mip(
     # valid bound; if that ever happens the affected subtree is dropped and
     # the final status downgraded
     searched_exhaustively = root.status == "optimal"
-    incumbent = primal_heuristic(inst, root.x[prices])
+    incumbent = primal_heuristic(inst, s.full(root.x)[s.prices])
     inc_val = incumbent.profit
 
     counter = 0
@@ -218,9 +352,9 @@ def solve_mip(
     def scale() -> float:
         return max(1.0, abs(inc_val))
 
-    if searched_exhaustively and _branch_variable(root.x, int_idx) is not None:
+    if searched_exhaustively and _branch_variable(root.x, s.binaries) is not None:
         heapq.heappush(
-            open_nodes, (-root.objective, counter, solver.lb, solver.ub, root.x)
+            open_nodes, (-(root.objective + s.offset), counter, lp.lb, lp.ub, root.x)
         )
 
     cut_short = False
@@ -234,7 +368,7 @@ def solve_mip(
         if -neg_bound <= inc_val + gap_tolerance * scale():
             open_nodes.clear()
             break
-        branch = _branch_variable(node_x, int_idx)
+        branch = _branch_variable(node_x, s.binaries)
         if branch is None:
             continue
         # child 1 re-solves child 0's final tableau in place
@@ -244,8 +378,8 @@ def solve_mip(
             child_ub = node_ub.copy()
             child_lb[branch] = fixed
             child_ub[branch] = fixed
-            child = solver.solve(
-                child_lb, child_ub, start_at_upper=prices, deadline=deadline,
+            child = lp.solve(
+                child_lb, child_ub, start_at_upper=s.start, deadline=deadline,
                 start_from=sibling, keep_tableau=sibling is None,
             )
             sibling = child
@@ -261,14 +395,14 @@ def solve_mip(
                 log.warning("node LP ended with status %s", child.status)
                 searched_exhaustively = False
                 continue
-            candidate = primal_heuristic(inst, child.x[prices])
+            candidate = primal_heuristic(inst, s.full(child.x)[s.prices])
             if candidate.profit > inc_val:
                 incumbent, inc_val = candidate, candidate.profit
-            if child.objective > inc_val + gap_tolerance * scale():
+            child_bound = child.objective + s.offset
+            if child_bound > inc_val + gap_tolerance * scale():
                 counter += 1
                 heapq.heappush(
-                    open_nodes,
-                    (-child.objective, counter, child_lb, child_ub, child.x),
+                    open_nodes, (-child_bound, counter, child_lb, child_ub, child.x)
                 )
 
     open_best = max((-entry[0] for entry in open_nodes), default=-math.inf)
@@ -279,7 +413,9 @@ def solve_mip(
     status = "optimal" if gap <= gap_tolerance else "feasible"
     wall = time.perf_counter() - start
     # a root LP cut short reached some point, not the relaxation's optimum
-    root_relaxation = root.objective if root.status == "optimal" else math.nan
+    root_relaxation = math.nan
+    if root.status == "optimal":
+        root_relaxation = root.objective + s.offset
     return MipResult(
         status, incumbent, inc_val, bound, gap, nodes, wall,
         root_relaxation, root_seconds,

@@ -247,9 +247,10 @@ def test_drifted_optimum_is_re_solved(model_name, seed):
 
 
 def _lp(model):
-    """The solver, price mask and binary columns solve_mip uses for a model."""
-    _, lp, prices, int_idx = solver_module._setup(model)
-    return lp, prices, int_idx
+    """The solver, price mask and binary columns solve_mip uses for a model,
+    and the model name of each of the solver's columns."""
+    s = solver_module._setup(model)
+    return s.lp, s.start, s.binaries, [s.names[k] for k in s.columns]
 
 
 def _fixed(lp, j, value):
@@ -304,7 +305,7 @@ def _check_warm_children(model, spy, reference=False):
     The warm re-solve must reach the cold status by itself: a cold fallback
     would hide a wrong warm answer.
     """
-    lp, prices, int_idx = _lp(model)
+    lp, prices, int_idx, names = _lp(model)
     root = lp.solve(start_at_upper=prices)
     assert root.status == "optimal"
     branches = _fractional(root.x, int_idx)
@@ -321,7 +322,7 @@ def _check_warm_children(model, spy, reference=False):
             1.0, abs(cold.objective)
         ), (j, warm.objective, cold.objective)
         if reference and k == 0:
-            name = model.variables[j].name
+            name = names[j]
             fixed = MipModel(
                 tuple(
                     replace(v, lower=1.0, integer=False) if v.name == name else v
@@ -379,8 +380,7 @@ def test_warm_child_matches_cold_on_random_markets(inst, kind):
 def _fig1_assign_conflict():
     """fig1's U model with bidder 1 given item 1; x_3_1 = 1 then breaks assign_1."""
     model = build(make_fig1(), FormulationKind.U)
-    names = [v.name for v in model.variables]
-    lp, prices, _ = _lp(model)
+    lp, prices, _, names = _lp(model)
     lp.lb[names.index("x_1_1")] = 1.0
     return lp, prices, names.index("x_3_1")
 
@@ -414,7 +414,7 @@ def test_warm_infeasible_is_confirmed_cold(monkeypatch):
 
 def test_rejected_warm_point_is_re_solved_cold(monkeypatch):
     model = build(make_fig1(), FormulationKind.U)
-    lp, prices, int_idx = _lp(model)
+    lp, prices, int_idx, _ = _lp(model)
     root = lp.solve(start_at_upper=prices)
     j = _fractional(root.x, int_idx)[0]
     cold = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices)
@@ -451,7 +451,7 @@ def test_rejected_warm_point_is_re_solved_cold(monkeypatch):
 
 def test_deadline_stops_the_lp():
     model = build(make_fig1(), FormulationKind.U)
-    lp, prices, int_idx = _lp(model)
+    lp, prices, int_idx, _ = _lp(model)
     past = time.perf_counter()
     assert lp.solve(start_at_upper=prices, deadline=past).status == "time-limit"
     root = lp.solve(start_at_upper=prices)

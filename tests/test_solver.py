@@ -4,6 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from efp import solver
 from efp.benchmark import run_benchmark
@@ -20,7 +23,7 @@ from efp.solver import (
     solve_mip,
 )
 
-from reference_lp import reference_mip_optimum
+from reference_lp import reference_lp_optimum, reference_mip_optimum
 
 
 def _instances(count, size=5, base_seed=0):
@@ -41,6 +44,33 @@ def _dict_loop_matrix(model):
         for name, coef in con.coeffs.items():
             A[r, col[name]] = coef
     return A
+
+
+def _coo_matrix(model):
+    """A built from (row, column, value) triplets: the canonical CSR reference."""
+    col = {v.name: j for j, v in enumerate(model.variables)}
+    rows, cols, data = [], [], []
+    for r, con in enumerate(model.constraints):
+        rows += [r] * len(con.coeffs)
+        cols += map(col.__getitem__, con.coeffs)
+        data += con.coeffs.values()
+    shape = (len(model.constraints), len(model.variables))
+    return sparse.csr_array((data, (rows, cols)), shape=shape, dtype=float)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_arrays_write_the_canonical_csr_matrix(fig1, kind):
+    markets = [fig1] + [
+        generate(name, preset(name, 8), 0)
+        for name in ("characteristics", "neighborhood", "popularity")
+    ]
+    for inst in markets:
+        model = build(inst, kind)
+        A, reference = solver._arrays(model)[2], _coo_matrix(model)
+        for part in ("data", "indices", "indptr"):
+            mine, theirs = getattr(A, part), getattr(reference, part)
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes(), part
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -142,11 +172,15 @@ def test_time_limit_reports_feasible():
 
 
 def test_time_limit_holds_inside_the_root_lp():
-    # this market's root LP alone runs well past a second without a deadline
-    inst = generate("popularity", preset("popularity", 50), 0)
-    model = build(inst, FormulationKind.U)
+    # this market's root LP alone runs at least ten times the limit
+    inst = generate("popularity", preset("popularity", 25), 0)
+    model = build(inst, FormulationKind.STM)
+    limit = 0.1
     start = time.perf_counter()
-    result = solve_mip(model, inst, time_limit=0.3)
+    assert solve_lp(model).status == "optimal"
+    assert time.perf_counter() - start >= 10 * limit
+    start = time.perf_counter()
+    result = solve_mip(model, inst, time_limit=limit)
     assert time.perf_counter() - start < 1.0
     assert result.status == "feasible"
     assert result.bound == math.inf
@@ -336,3 +370,105 @@ def test_infeasible_lp_reported():
     assert result.status == "infeasible"
     assert result.incumbent is None
     assert math.isnan(result.incumbent_value)
+
+
+def _zero_value_pairs(inst):
+    return {
+        f"x_{i + 1}_{b + 1}"
+        for i in range(inst.num_items)
+        for b in range(inst.num_bidders)
+        if inst.value(i, b) == 0
+    }
+
+
+def test_presolve_fixes_exactly_the_zero_value_pairs(fig1):
+    dense = validate_instance(
+        3, 3, [(i, b, 1.0 + i + 2 * b) for i in range(3) for b in range(3)]
+    )
+    popularity = generate("popularity", preset("popularity", 50), 0)
+    for inst in (fig1, dense, popularity):
+        for kind in ALL_KINDS:
+            model = build(inst, kind)
+            names, c, A, senses, b, lb, ub, integer = solver._arrays(model)
+            fixed, rows = solver._presolve(c, A, senses, b, lb, ub, integer)
+            assert {names[j] for j in np.flatnonzero(fixed)} == _zero_value_pairs(inst)
+            # the solver holds exactly the kept rows and columns of A
+            lp = solver._setup(model).lp
+            kept = A[rows][:, ~fixed]
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(lp.A, part), getattr(kept, part)), part
+            if inst is popularity and kind is FormulationKind.U:
+                assert lp.A.shape[1] == 500 and lp.A.shape[0] <= 950
+    assert not _zero_value_pairs(dense)
+
+
+def test_presolve_drops_a_row_only_when_it_cannot_bind():
+    # columns x, y in [0, 1]; z, w, u >= 0; binaries p, q; d in [0, 1]
+    names = ["x", "y", "z", "w", "u", "p", "q", "d"]
+    rows = [
+        ({"x": 1, "y": 1}, "<=", 2.0),  # 0: greatest activity 2, drop
+        ({"x": 1, "y": 1}, "<=", np.nextafter(2.0, 0.0)),  # 1: binds by an ulp
+        ({"x": -1, "y": 1}, ">=", -1.0),  # 2: read as x - y <= 1, at most 1, drop
+        ({"z": 1, "x": -1}, "<=", 0.0),  # 3: supplies z <= 1
+        ({"z": 1, "y": 1}, "<=", 2.0),  # 4: redundant by z <= 1, drop
+        ({"w": 1}, "<=", 0.5),  # 5: supplies w <= 0.5, redundant by it
+        ({"p": 1, "q": 1}, "<=", 1.0),  # 6: packing row
+        ({"u": 1, "p": -3, "q": -5}, "<=", 0.0),  # 7: u <= 5, at most one of p, q
+        ({"u": 1, "x": 1}, "<=", 6.0),  # 8: redundant by u <= 5, drop
+        ({"d": 1, "x": 1}, "=", 1.0),  # 9: an = row is kept, and so is d
+    ]
+    col = {name: j for j, name in enumerate(names)}
+    A = np.zeros((len(rows), len(names)))
+    for r, (coeffs, _, _) in enumerate(rows):
+        for name, value in coeffs.items():
+            A[r, col[name]] = value
+    senses = [sense for _, sense, _ in rows]
+    b = np.array([rhs for _, _, rhs in rows])
+    c = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, -1.0])
+    lb = np.zeros(len(names))
+    ub = np.array([1, 1, np.inf, np.inf, np.inf, 1, 1, 1], dtype=float)
+    integer = np.array([name in ("p", "q") for name in names])
+    fixed, kept = solver._presolve(c, sparse.csr_array(A), senses, b, lb, ub, integer)
+    assert not fixed.any()
+    assert np.flatnonzero(~kept).tolist() == [0, 2, 4, 8]
+    # p and q have c = 0 and u's row gives them negative entries; a column
+    # like them with only nonnegative entries is fixed at its lower bound
+    A[7, col["q"]] = 5.0
+    fixed, _ = solver._presolve(c, sparse.csr_array(A), senses, b, lb, ub, integer)
+    assert np.flatnonzero(fixed).tolist() == [col["q"]]
+
+
+@st.composite
+def _markets(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    value = st.one_of(st.just(0.0), st.floats(0.5, 10.0))
+    values = draw(st.lists(value, min_size=m * n, max_size=m * n))
+    edges = [(k // n, k % n, v) for k, v in enumerate(values) if v > 0]
+    return validate_instance(m, n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inst=_markets(),
+    kind=st.sampled_from(ALL_KINDS),
+    price_bound=st.booleans(),
+    close_mip=st.integers(0, 4),
+)
+def test_presolve_keeps_lp_and_mip_values(inst, kind, price_bound, close_mip):
+    model = build(inst, kind, price_bound=price_bound)
+    sol = solve_lp(model)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(reference_lp_optimum(model), abs=1e-6)
+    assert not constraint_violations(model, sol.values, tol=1e-6)
+    if close_mip == 0:  # a fifth of the draws also closes the search
+        result = solve_mip(model, inst)
+        assert result.status == "optimal"
+        # every formulation has the same optimum; HiGHS solves U, as in the
+        # benchmark (on some P models it stops with a solve error).  "optimal"
+        # is within solve_mip's 1e-6 relative gap, and HiGHS's feasibility
+        # slack moves its optimum by up to 1e-6 (11.500001 for 11.5)
+        optimum = reference_mip_optimum(
+            build(inst, FormulationKind.U, price_bound=price_bound)
+        )
+        assert abs(result.incumbent_value - optimum) <= 2e-6 * max(1.0, abs(optimum))
