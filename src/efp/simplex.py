@@ -9,22 +9,30 @@ the starting point violates; a crash start can place selected variables at
 their upper bound, which for the pricing models makes the slack basis
 feasible and skips phase 1 entirely.
 
-A solve can instead start from an earlier optimal tableau of the same solver
-under other bounds (``start_from``), as branch-and-bound does for the second
-child of a node.  Reduced costs do not depend on bounds, so that basis stays
-dual feasible; moving the changed variables to their new bounds leaves only
-basic values out of bounds, and a bounded dual simplex clears them: the row
-with the largest bound violation leaves, and the entering column is the
-nonbasic that can move that row the right way at the least |d_k / a_rk|.  The
-primal loop then runs as a clean-up.  The earlier tableau is updated in
-place and given up by the result that held it.
+An optimal result carries its final basis: one status per column of a fixed
+column space, the structurals and then one logical per row (the slack of a
+<= row; for an = row, an artificial fixed at 0).  A solve can start from an
+earlier optimal result of the same solver under other bounds
+(``start_from``), as branch-and-bound does for every node after the root.
+If that result still holds its tableau, the tableau is taken over in place;
+otherwise B^-1 [A | I] is computed again from an LU of the basic block:
+the basic logicals are unit columns, so only the rows whose logical is
+nonbasic, against the basic structurals, are factorised.  Reduced costs do
+not depend on bounds, so either basis stays dual feasible; moving the
+changed variables to their new bounds leaves only basic values out of
+bounds, and a bounded dual simplex clears them: the row with the largest
+bound violation leaves, and the entering column is the nonbasic that can
+move that row the right way at the least |d_k / a_rk|.  The primal loop
+then runs as a clean-up.  A singular or ill-conditioned block falls back to
+the cold solve and is counted in ``singular_blocks``.
 
-The tableau is never refactorised, so drift can end a run at a basis whose
-point breaks the rows.  An "optimal" point is therefore checked against the
-rows and bounds before it is returned; one that fails is re-solved from the
-slack basis, and a second failure is status "numerical" with the first point.
-A warm "infeasible" is confirmed by the cold solve the LP would get without
-a warm start.
+Between factorisations the tableau is updated by pivots alone, so drift can
+end a run at a basis whose point breaks the rows.  An "optimal" point is
+therefore checked against the rows and bounds before it is returned; one
+that fails is re-optimised from its own basis, factorised afresh (from the
+slack basis if that block is singular), and a second failure is status
+"numerical" with the first point.  A warm "infeasible" is confirmed by the
+cold solve the LP would get without a warm start.
 
 Pricing is Devex (approximate steepest edge); Bland's rule engages after a
 run of degenerate pivots to guarantee termination, in both loops.  A
@@ -45,6 +53,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-7
@@ -66,6 +75,7 @@ class _Tableau(NamedTuple):
     ubp: np.ndarray  # upper bounds of y
     d: np.ndarray  # phase-2 reduced costs
     lob: np.ndarray
+    cols: np.ndarray  # each column's place in the fixed column space
 
 
 @dataclass
@@ -78,11 +88,14 @@ class SimplexResult:
     # the final tableau of an optimal solve asked to keep it, until a
     # start_from solve takes it over
     tableau: _Tableau | None = field(default=None, repr=False, compare=False)
+    # an optimal solve's final basis: one status per structural, then per
+    # row's logical
+    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 class SimplexSolver:
-    """Reusable standard-form data; each solve() call builds its own tableau
-    or takes over a kept one (start_from).
+    """Reusable standard-form data; each solve() call builds its own tableau,
+    takes over a kept one or rebuilds one from a stored basis (start_from).
 
     Bounds passed to solve() override the stored ones, which is how
     branch-and-bound fixes binaries without rebuilding the matrix.
@@ -113,6 +126,10 @@ class SimplexSolver:
         self.ub = np.asarray(ub, dtype=float)
         if np.any(np.isneginf(self.lb)):
             raise ValueError("all variables need finite lower bounds")
+        # A with the >= rows negated, by entry: row of each, and its value
+        self._rows = np.repeat(np.arange(len(kind)), np.diff(self.A.indptr))
+        self._data = self.row_sign[self._rows] * self.A.data
+        self.singular_blocks = 0  # stored bases that could not be factorised
 
     def solve(
         self,
@@ -127,27 +144,29 @@ class SimplexSolver:
     ) -> SimplexResult:
         """Solve under optional bound overrides; an "optimal" x is verified.
 
-        start_from is an earlier result of this solver that kept its tableau
-        (keep_tableau=True); the solve re-optimises that tableau in place
-        under the new bounds and takes it from start_from.  Without a kept
-        tableau the solve starts cold, crash-started by start_at_upper.
-        deadline is an absolute time.perf_counter() value.
+        start_from is an earlier result of this solver.  If it kept its
+        tableau (keep_tableau=True), the solve re-optimises that tableau in
+        place under the new bounds and takes it from start_from; otherwise
+        it factorises start_from's basis afresh.  Without a start_from, or
+        when it was not optimal or its basis is singular, the solve starts
+        cold, crash-started by start_at_upper.  deadline is an absolute
+        time.perf_counter() value.
         """
         lob = self.lb if lb is None else np.asarray(lb, dtype=float)
         upb = self.ub if ub is None else np.asarray(ub, dtype=float)
-        if start_from is None or start_from.tableau is None:
-            result = self._cold(lob, upb, start_at_upper, max_iterations, deadline)
-        else:
+        result = None
+        if start_from is not None:
             result = self._resolve(start_from, lob, upb, max_iterations, deadline)
-            if result.status == "infeasible":
-                # confirmed by the solve this LP gets without a warm start
-                cold = self._cold(
-                    lob, upb, start_at_upper, max_iterations - result.iterations,
-                    deadline,
-                )
-                result = replace(cold, iterations=result.iterations + cold.iterations)
-            elif result.status == "optimal" and not self._feasible(result.x, lob, upb):
-                result = self._retry(result, lob, upb, max_iterations, deadline)
+        if result is None:
+            result = self._cold(lob, upb, start_at_upper, max_iterations, deadline)
+        elif result.status == "infeasible":
+            # confirmed by the solve this LP gets without a warm start
+            cold = self._cold(
+                lob, upb, start_at_upper, max_iterations - result.iterations, deadline
+            )
+            result = replace(cold, iterations=result.iterations + cold.iterations)
+        elif result.status == "optimal" and not self._feasible(result.x, lob, upb):
+            result = self._retry(result, lob, upb, max_iterations, deadline)
         if not keep_tableau:
             result.tableau = None
         return result
@@ -160,7 +179,7 @@ class SimplexSolver:
         max_iterations: int,
         deadline: float | None,
     ) -> SimplexResult:
-        """Crash-started solve, re-solved from the slack basis if its check fails."""
+        """Crash-started solve, re-optimised by _retry if its check fails."""
         first = self._solve(lob, upb, start_at_upper, max_iterations, deadline)
         if first.status == "optimal" and not self._feasible(first.x, lob, upb):
             return self._retry(first, lob, upb, max_iterations, deadline)
@@ -174,9 +193,13 @@ class SimplexSolver:
         max_iterations: int,
         deadline: float | None,
     ) -> SimplexResult:
-        """Re-solve from the slack basis after first's point failed its check."""
+        """Re-optimise first's basis, factorised afresh, after its point failed
+        its check; from the slack basis if that basis is singular."""
         first.tableau = None  # one tableau alive at a time
-        retry = self._solve(lob, upb, None, max_iterations - first.iterations, deadline)
+        budget = max_iterations - first.iterations
+        retry = self._resolve(first, lob, upb, budget, deadline)
+        if retry is None:
+            retry = self._solve(lob, upb, None, budget, deadline)
         iterations = first.iterations + retry.iterations
         if retry.status == "optimal" and self._feasible(retry.x, lob, upb):
             return replace(retry, iterations=iterations)
@@ -215,7 +238,7 @@ class SimplexSolver:
 
         y_start = np.where(upper_start, span, 0.0)
         b0 = self.b - self.row_sign * (self.A @ (lob + y_start))
-        T, val, basis, art_start = self._start_tableau(b0)
+        T, val, basis, art_start, cols = self._start_tableau(b0)
         K = T.shape[1]
 
         ubp = np.full(K, np.inf)
@@ -233,7 +256,10 @@ class SimplexSolver:
                 T, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
             )
             if status != "optimal":
-                return self._result(status, val, basis, vstat, ubp, lob, iterations)
+                return self._result(
+                    status, _Tableau(T, val, basis, vstat, ubp, d, lob, cols),
+                    iterations,
+                )
             residual = val[basis >= art_start].sum() if m else 0.0
             if residual > FEASIBILITY_TOL:
                 return SimplexResult("infeasible", float("nan"), None, iterations)
@@ -246,9 +272,7 @@ class SimplexSolver:
             T, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
         )
         return self._result(
-            status, val, basis, vstat, ubp, lob, iterations, _Tableau(
-                T, val, basis, vstat, ubp, d, lob
-            )
+            status, _Tableau(T, val, basis, vstat, ubp, d, lob, cols), iterations
         )
 
     def _resolve(
@@ -258,19 +282,29 @@ class SimplexSolver:
         upb: np.ndarray,
         max_iterations: int,
         deadline: float | None,
-    ) -> SimplexResult:
-        """Re-optimise start's tableau under new bounds: dual, then primal."""
-        T, val, basis, vstat, ubp, d, old_lob = start.tableau
-        start.tableau = None
-        nv = self.nvars
+    ) -> SimplexResult | None:
+        """Re-optimise start's basis under new bounds: dual, then primal.
+
+        start's kept tableau is taken over; without one its basis is
+        factorised afresh.  None means start has no basis, or a singular one.
+        """
+        tableau, start.tableau = start.tableau, None
         span = upb - lob
         if np.any(span < -1e-12):
             return SimplexResult("infeasible", float("nan"), None, 0)
         span = np.maximum(span, 0.0)
+        if tableau is None and start.basis is not None:
+            tableau = self._refactor(start.basis, lob, span)
+            self.singular_blocks += tableau is None
+        if tableau is None:
+            return None
+        T, val, basis, vstat, ubp, d, old_lob, cols = tableau
+        nv = self.nvars
 
         # every structural keeps its status and moves with its bound; the
         # basic values absorb the move, val -= T[:, k] * shift_k (a basic k
-        # has the unit column, so only its own row shifts)
+        # has the unit column, so only its own row shifts).  Nothing moves
+        # in a tableau just rebuilt at these bounds
         stat = vstat[:nv]
         old_x = old_lob + np.where(stat == _UPPER, ubp[:nv], 0.0)
         stat[(stat == _UPPER) & np.isinf(span)] = _LOWER
@@ -288,17 +322,88 @@ class SimplexSolver:
                 T, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
             )
         return self._result(
-            status, val, basis, vstat, ubp, lob, iterations, _Tableau(
-                T, val, basis, vstat, ubp, d, lob
-            )
+            status, _Tableau(T, val, basis, vstat, ubp, d, lob, cols), iterations
         )
 
+    def _refactor(
+        self, status: np.ndarray, lob: np.ndarray, span: np.ndarray
+    ) -> _Tableau | None:
+        """The tableau B^-1 [A | I] of a stored basis at bounds lob, lob + span.
+
+        Rows are ordered with R1, the rows whose logical is nonbasic, first:
+        there the basic structurals S hold the rows, and B11 = A[R1, S] is
+        the only block factorised.  The other rows R2 keep their basic
+        logical, so B^-1 = [[B11^-1, 0], [-A21 B11^-1, I]] with A21 =
+        A[R2, S], kept sparse.  Only the nonbasic columns are computed, and
+        no temporary is larger than k x K, k = |S| and K the column count.
+        None if B11 is singular or ill-conditioned.
+        """
+        nv, m = self.nvars, len(self.b)
+        K = nv + m
+        basic = status == _BASIC
+        S = np.flatnonzero(basic[:nv])
+        R1 = np.flatnonzero(~basic[nv:])
+        k = S.size
+        if k != R1.size:
+            return None
+        place = np.empty(m, dtype=np.intp)  # each row's tableau row
+        place[R1] = np.arange(k)
+        place[basic[nv:]] = np.arange(k, m)
+        vstat = status.copy()
+        vstat[:nv][(vstat[:nv] == _UPPER) & np.isinf(span)] = _LOWER
+        y = np.where(vstat[:nv] == _UPPER, span, 0.0)
+        val = np.empty(m)
+        val[place] = self.b - self.row_sign * (self.A @ (lob + y))
+        rows, cols, data = place[self._rows], self.A.indices, self._data
+        T = np.zeros((m, K), order="F")
+        T[rows, cols] = data
+        T[place, nv + np.arange(m)] = 1.0
+        if k:
+            slot = np.full(nv, -1)  # each basic structural's place in S
+            slot[S] = np.arange(k)
+            in_s = slot[cols] >= 0
+            block = in_s & (rows < k)
+            B11 = np.zeros((k, k), order="F")
+            B11[rows[block], slot[cols[block]]] = data[block]
+            norm = np.abs(B11).sum(axis=0).max()
+            lu, piv, info = dgetrf(B11, overwrite_a=1)
+            if info != 0 or dgecon(lu, norm)[0] < PIVOT_TOL:
+                return None
+            # A21 in CSR: its entries already run in row order
+            low = in_s & (rows >= k)
+            indptr = np.zeros(m - k + 1, dtype=np.intp)
+            np.cumsum(np.bincount(rows[low] - k, minlength=m - k), out=indptr[1:])
+            A21 = sparse.csr_array(
+                (data[low], slot[cols[low]], indptr), shape=(m - k, k)
+            )
+            nonbasic = np.concatenate((np.flatnonzero(~basic[:nv]), nv + R1))
+            x = np.ascontiguousarray(dgetrs(lu, piv, T[:k, nonbasic])[0])
+            T[:k, nonbasic] = x
+            width = k * K // max(m - k, 1)  # columns per product, within k x K
+            for lo in range(0, nv, width):
+                part = nonbasic[lo:lo + width]
+                T[k:, part] -= A21 @ x[:, lo:lo + width]
+            val[:k] = dgetrs(lu, piv, val[:k])[0]
+            val[k:] -= A21 @ val[:k]
+            T[:, S] = 0.0
+            T[np.arange(k), S] = 1.0
+
+        basis = np.concatenate((S, nv + np.flatnonzero(basic[nv:])))
+        ubp = np.concatenate((span, np.where(self._le, np.inf, 0.0)))
+        d = np.concatenate((self.c, np.zeros(m))) - self.c[S] @ T[:k]
+        d[basis] = 0.0
+        return _Tableau(T, val, basis, vstat, ubp, d, lob, np.arange(K))
+
     def _start_tableau(self, b0: np.ndarray):
-        """Tableau, basic values, basis and first artificial column at b0 = b - A x0.
+        """Tableau, basic values, basis, first artificial column and each
+        column's place in the fixed column space, at b0 = b - A x0.
 
         Columns are the structurals, one slack per <= row, then one artificial
         per row x0 violates (every = row, and <= rows with b0 < 0).  A row
-        with b0 < 0 is negated so its basic variable starts at |b0|.
+        with b0 < 0 is negated so its basic variable starts at |b0|.  A
+        slack and an artificial both stand for their row's logical: in a
+        negated <= row the artificial is the slack's negative, and after
+        phase 1 it can only be basic at 0.
         """
         nv, A = self.nvars, self.A
         flip = b0 < 0
@@ -310,32 +415,30 @@ class SimplexSolver:
         art_cols = art_start + np.arange(len(art_rows))
 
         T = np.zeros((len(b0), art_start + len(art_rows)), order="F")
-        rows = np.repeat(np.arange(len(b0)), np.diff(A.indptr))
-        T[rows, A.indices] = (sign * self.row_sign)[rows] * A.data
+        T[self._rows, A.indices] = sign[self._rows] * self._data
         T[slack_rows, slack_cols] = sign[slack_rows]
         T[art_rows, art_cols] = 1.0
         basis = np.empty(len(b0), dtype=np.intp)
         basis[slack_rows] = slack_cols
         basis[art_rows] = art_cols
-        return T, np.abs(b0), basis, art_start
+        cols = np.concatenate((np.arange(nv), nv + slack_rows, nv + art_rows))
+        return T, np.abs(b0), basis, art_start, cols
 
     def _result(
-        self,
-        status: str,
-        val: np.ndarray,
-        basis: np.ndarray,
-        vstat: np.ndarray,
-        ubp: np.ndarray,
-        lob: np.ndarray,
-        iterations: int,
-        tableau: _Tableau | None = None,
+        self, status: str, tableau: _Tableau, iterations: int
     ) -> SimplexResult:
+        """The point of a tableau; an optimal one keeps the tableau and its basis."""
+        nv = self.nvars
+        _, val, basis, vstat, ubp, _, lob, cols = tableau
         y = np.where(vstat == _UPPER, ubp, 0.0)
         y[basis] = val
-        x = y[: self.nvars] + lob
+        x = y[:nv] + lob
         if status != "optimal":
-            tableau = None
-        return SimplexResult(status, float(self.c @ x), x, iterations, tableau)
+            return SimplexResult(status, float(self.c @ x), x, iterations)
+        stored = np.full(nv + len(self.b), _LOWER, dtype=np.int8)
+        stored[:nv] = vstat[:nv]
+        stored[cols[basis]] = _BASIC
+        return SimplexResult(status, float(self.c @ x), x, iterations, tableau, stored)
 
     @staticmethod
     def _iterate(

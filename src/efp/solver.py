@@ -10,14 +10,16 @@ relaxation.
 solve_mip runs best-bound branch-and-bound on the binary assignment
 variables; primal_heuristic turns every node's fractional prices into the
 greedy envy-free allocation, which is always feasible, so the incumbent can
-improve at every node.  Of the two children of a node, x_j = 0 is solved
-from the crash start and x_j = 1 from its sibling's final tableau by the
-simplex's dual re-solve.  An LP counts as optimal only after its point passes
-the simplex's row and bound check; otherwise it is "numerical" and its bound
-is not trusted.  The time limit is a deadline inside every LP as well as
-between nodes.  compare_relaxations evaluates all five relaxations of an
-instance and flags any breach of the proven ordering LR_I <= LR_STM and
-LR_I <= LR_L <= LR_P <= LR_U as a solver bug.
+improve at every node.  Every open node keeps its LP's optimal basis.  Of the
+two children of a node, x_j = 0 starts from that basis, factorised afresh,
+and x_j = 1 from its sibling's final tableau (from the node's basis too if
+the sibling left none); the simplex's dual re-solve takes each from there.
+Only the root LP is solved cold.  An LP counts as optimal only after its
+point passes the simplex's row and bound check; otherwise it is "numerical"
+and its bound is not trusted.  The time limit is a deadline inside every LP
+as well as between nodes.  compare_relaxations evaluates all five
+relaxations of an instance and flags any breach of the proven ordering
+LR_I <= LR_STM and LR_I <= LR_L <= LR_P <= LR_U as a solver bug.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from scipy import sparse
 from .allocation import Outcome, envy_free_allocation
 from .core import Instance, Pricing
 from .formulations import ALL_KINDS, MipModel, build
-from .simplex import SimplexSolver
+from .simplex import SimplexResult, SimplexSolver
 
 log = logging.getLogger("efp.solver")
 
@@ -346,15 +348,16 @@ def solve_mip(
     incumbent = primal_heuristic(inst, s.full(root.x)[s.prices])
     inc_val = incumbent.profit
 
+    # each open node: -bound, a tie-break counter, its bounds and its LP
     counter = 0
-    open_nodes: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray]] = []
+    open_nodes: list[tuple[float, int, np.ndarray, np.ndarray, SimplexResult]] = []
 
     def scale() -> float:
         return max(1.0, abs(inc_val))
 
     if searched_exhaustively and _branch_variable(root.x, s.binaries) is not None:
         heapq.heappush(
-            open_nodes, (-(root.objective + s.offset), counter, lp.lb, lp.ub, root.x)
+            open_nodes, (-(root.objective + s.offset), counter, lp.lb, lp.ub, root)
         )
 
     cut_short = False
@@ -364,15 +367,16 @@ def solve_mip(
         if node_limit is not None and nodes >= node_limit:
             break
         popped = heapq.heappop(open_nodes)
-        neg_bound, _, node_lb, node_ub, node_x = popped
+        neg_bound, _, node_lb, node_ub, node = popped
         if -neg_bound <= inc_val + gap_tolerance * scale():
             open_nodes.clear()
             break
-        branch = _branch_variable(node_x, s.binaries)
+        branch = _branch_variable(node.x, s.binaries)
         if branch is None:
             continue
-        # child 1 re-solves child 0's final tableau in place
-        sibling = None
+        # child 0 starts from the node's basis; child 1 re-solves child 0's
+        # final tableau in place, or the node's basis if child 0 left none
+        warm = node
         for fixed in (0.0, 1.0):
             child_lb = node_lb.copy()
             child_ub = node_ub.copy()
@@ -380,9 +384,10 @@ def solve_mip(
             child_ub[branch] = fixed
             child = lp.solve(
                 child_lb, child_ub, start_at_upper=s.start, deadline=deadline,
-                start_from=sibling, keep_tableau=sibling is None,
+                start_from=warm, keep_tableau=fixed == 0.0,
             )
-            sibling = child
+            if child.tableau is not None:
+                warm = child
             nodes += 1
             if child.status == "infeasible":
                 continue
@@ -402,7 +407,7 @@ def solve_mip(
             if child_bound > inc_val + gap_tolerance * scale():
                 counter += 1
                 heapq.heappush(
-                    open_nodes, (-child_bound, counter, child_lb, child_ub, child.x)
+                    open_nodes, (-child_bound, counter, child_lb, child_ub, child)
                 )
 
     open_best = max((-entry[0] for entry in open_nodes), default=-math.inf)

@@ -7,9 +7,7 @@ from efp.formulations import MipModel
 from efp.solver import model_arrays
 
 
-def reference_lp_optimum(model: MipModel) -> float:
-    """Optimal relaxation value via an unrelated solver implementation."""
-    _, c, A, senses, b, lb, ub, _ = model_arrays(model)
+def _lp_value(c, A, senses, b, lb, ub) -> float:
     A_ub, b_ub, A_eq, b_eq = [], [], [], []
     for row, sense, rhs in zip(A, senses, b):
         if sense == "<=":
@@ -35,8 +33,20 @@ def reference_lp_optimum(model: MipModel) -> float:
     return -res.fun
 
 
+def reference_lp_optimum(model: MipModel) -> float:
+    """Optimal relaxation value via an unrelated solver implementation."""
+    _, c, A, senses, b, lb, ub, _ = model_arrays(model)
+    return _lp_value(c, A, senses, b, lb, ub)
+
+
 def reference_mip_optimum(model: MipModel) -> float:
-    """Optimal integer value via HiGHS branch-and-cut, for solve_mip to match."""
+    """Optimal integer value via HiGHS branch-and-cut, for solve_mip to match.
+
+    HiGHS's MIP point may break a row by up to its feasibility tolerance,
+    which lifts its objective by as much: 489.704383945 for 489.704382945
+    on the seed-0 characteristics n=6 P model.  So the value returned is
+    the LP optimum with the integer columns fixed at HiGHS's rounded values.
+    """
     _, c, A, senses, b, lb, ub, integer = model_arrays(model)
     senses = np.array(senses)
     row_lb = np.where(senses == "<=", -np.inf, b)
@@ -50,4 +60,6 @@ def reference_mip_optimum(model: MipModel) -> float:
     )
     if res.status != 0:
         raise AssertionError(f"reference MIP solver failed: {res.message}")
-    return -res.fun
+    lb, ub = lb.copy(), ub.copy()
+    lb[integer] = ub[integer] = np.round(res.x[integer])
+    return _lp_value(c, A, senses, b, lb, ub)

@@ -263,12 +263,138 @@ def _fractional(x, int_idx):
     return [int(j) for j in int_idx if abs(x[j] - round(x[j])) > 1e-6]
 
 
+def _markets():
+    """fig1 and one market per generator at n = 6, 7, 8."""
+    return [make_fig1()] + [
+        generate(name, preset(name, n), 0)
+        for name, n in (("characteristics", 6), ("neighborhood", 7), ("popularity", 8))
+    ]
+
+
+def _in_fixed_space(tableau):
+    """A tableau's rows, keyed by their basic column, and its reduced costs,
+    over the fixed column space: structurals, then one logical per row.
+
+    Each logical is read from its first tableau column (a <= row's slack
+    comes before its artificial), and each row is scaled to a basic entry
+    of +1, which undoes the sign of an artificial basic in a negated row.
+    """
+    fixed, first = np.unique(tableau.cols, return_index=True)
+    assert np.array_equal(fixed, np.arange(fixed.size))
+    T = tableau.T[:, first]
+    keys = tableau.cols[tableau.basis]
+    scale = T[np.arange(keys.size), keys]
+    assert np.array_equal(np.abs(scale), np.ones(keys.size))
+    rows = {
+        int(f): (T[i] * scale[i], tableau.val[i] * scale[i]) for i, f in enumerate(keys)
+    }
+    return rows, tableau.d[first]
+
+
+def _assert_rebuilt_matches_kept(lp, kept, basis):
+    """The tableau rebuilt from basis at kept's bounds equals kept within 1e-9."""
+    rebuilt = lp._refactor(basis, kept.lob, kept.ubp[: lp.nvars])
+    kept_rows, kept_d = _in_fixed_space(kept)
+    rows, d = _in_fixed_space(rebuilt)
+    assert rows.keys() == kept_rows.keys()
+    for f, (row, value) in rows.items():
+        assert np.max(np.abs(row - kept_rows[f][0])) <= 1e-9, f
+        assert abs(value - kept_rows[f][1]) <= 1e-9, f
+    assert np.max(np.abs(d - kept_d)) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_rebuilt_tableau_matches_the_kept_one(kind):
+    for inst in _markets():
+        lp, prices, _, _ = _lp(build(inst, kind))
+        root = lp.solve(start_at_upper=prices, keep_tableau=True)
+        assert root.status == "optimal"
+        _assert_rebuilt_matches_kept(lp, root.tableau, root.basis)
+
+
+def test_basis_maps_every_row_to_its_logical():
+    # max 2x + y st x + y = 2, x + y >= 2, x <= 1.5: the crash start breaks
+    # the >= row, whose artificial stays basic at 0 in the negated row; in
+    # the fixed column space that is the >= row's logical, basic
+    c, A, senses, b = [2, 1], [[1, 1], [1, 1], [1, 0]], ["=", ">=", "<="], [2, 2, 1.5]
+    for lp in _solvers(c, A, senses, b, [0, 0], [np.inf] * 2):
+        root = lp.solve(keep_tableau=True)
+        assert root.status == "optimal" and root.objective == pytest.approx(3.5)
+        kept = root.tableau
+        art_start = lp.nvars + 2  # after the slacks of the >= and the <= row
+        basic_artificials = kept.basis[kept.basis >= art_start]
+        assert (kept.cols[basic_artificials] - lp.nvars).tolist() == [1]
+        # x and y basic, the = row's and the <= row's logicals nonbasic
+        B, L = simplex._BASIC, simplex._LOWER
+        assert root.basis.tolist() == [B, B, L, B, L]
+        _assert_rebuilt_matches_kept(lp, kept, root.basis)
+        for ub, status, objective in (
+            ([1.0, np.inf], "optimal", 3.0), ([np.inf, 0.25], "infeasible", None),
+        ):
+            warm = lp.solve(lp.lb, np.array(ub), start_from=root)
+            assert warm.status == status
+            if objective is not None:
+                assert warm.objective == pytest.approx(objective)
+        assert lp.singular_blocks == 0
+
+
+@pytest.mark.parametrize("breakdown", ["singular", "ill-conditioned"])
+def test_singular_block_falls_back_to_the_cold_solve(monkeypatch, breakdown):
+    lp, prices, int_idx, _ = _lp(build(make_fig1(), FormulationKind.U))
+    root = lp.solve(start_at_upper=prices)
+    bounds = _fixed(lp, _fractional(root.x, int_idx)[0], 0.0)
+    cold = lp.solve(*bounds, start_at_upper=prices)
+    if breakdown == "singular":
+        getrf = simplex.dgetrf
+        monkeypatch.setattr(simplex, "dgetrf", lambda a, **kw: (*getrf(a, **kw)[:2], 1))
+    else:
+        monkeypatch.setattr(simplex, "dgecon", lambda lu, norm: (1e-17, 0))
+    starts, solve = [], SimplexSolver._solve
+
+    def spy_solve(self, lob, upb, start_at_upper, *args):
+        starts.append(start_at_upper)
+        return solve(self, lob, upb, start_at_upper, *args)
+
+    monkeypatch.setattr(SimplexSolver, "_solve", spy_solve)
+    warm = lp.solve(*bounds, start_at_upper=prices, start_from=root)
+    assert lp.singular_blocks == 1
+    assert len(starts) == 1 and starts[0] is prices
+    assert (warm.status, warm.objective, warm.iterations) == (
+        cold.status, cold.objective, cold.iterations,
+    )
+
+    # a rejected point whose basis is singular is re-solved from the slack basis
+    feasible = SimplexSolver._feasible
+    checks = []
+
+    def reject_first_point(self, *args):
+        checks.append(None)
+        return len(checks) > 1 and feasible(self, *args)
+
+    monkeypatch.setattr(SimplexSolver, "_feasible", reject_first_point)
+    starts.clear()
+    retried = lp.solve(*bounds, start_at_upper=prices)
+    assert lp.singular_blocks == 2
+    assert len(starts) == 2 and starts[0] is prices and starts[1] is None
+    assert retried.status == "optimal"
+    assert retried.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
 def _warm_child(lp, prices, j):
     """Child x_j = 0 cold, then child x_j = 1 warm from it."""
     child0 = lp.solve(*_fixed(lp, j, 0.0), start_at_upper=prices, keep_tableau=True)
     warm = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices, start_from=child0)
     assert child0.tableau is None and warm.tableau is None  # taken, not kept
     return warm
+
+
+def _warm_solves(lp, prices, j, root):
+    """Children x_j = 0 and x_j = 1 from the root's basis, then x_j = 1 from
+    its sibling's kept tableau, each with the value x_j is fixed at."""
+    for value in (0.0, 1.0):
+        bounds = _fixed(lp, j, value)
+        yield value, lp.solve(*bounds, start_at_upper=prices, start_from=root)
+    yield 1.0, _warm_child(lp, prices, j)
 
 
 class _WarmSolves:
@@ -300,28 +426,30 @@ class _WarmSolves:
 
 
 def _check_warm_children(model, spy, reference=False):
-    """Every fractional binary's warm child 1 against its cold solve.
+    """Every fractional binary's warm children against their cold solves.
 
-    The warm re-solve must reach the cold status by itself: a cold fallback
-    would hide a wrong warm answer.
+    Both children start from the root's basis, factorised afresh, and child
+    x_j = 1 also from its sibling's kept tableau.  Each warm re-solve must
+    reach the cold status by itself: a cold fallback would hide a wrong
+    warm answer.
     """
     lp, prices, int_idx, names = _lp(model)
     root = lp.solve(start_at_upper=prices)
     assert root.status == "optimal"
     branches = _fractional(root.x, int_idx)
     for k, j in enumerate(branches):
-        warm = _warm_child(lp, prices, j)
-        cold = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices)
-        assert warm.status == spy.results[-1].status == cold.status, (
-            j, spy.results[-1].status, cold.status,
-        )
-        if cold.status != "optimal":
-            continue
-        assert warm is spy.results[-1]  # passed its check, no cold re-solve
-        assert abs(warm.objective - cold.objective) <= 1e-9 * max(
-            1.0, abs(cold.objective)
-        ), (j, warm.objective, cold.objective)
-        if reference and k == 0:
+        for value, warm in _warm_solves(lp, prices, j, root):
+            cold = lp.solve(*_fixed(lp, j, value), start_at_upper=prices)
+            assert warm.status == spy.results[-1].status == cold.status, (
+                j, value, spy.results[-1].status, cold.status,
+            )
+            if cold.status != "optimal":
+                continue
+            assert warm is spy.results[-1]  # passed its check, no cold re-solve
+            assert abs(warm.objective - cold.objective) <= 1e-9 * max(
+                1.0, abs(cold.objective)
+            ), (j, value, warm.objective, cold.objective)
+        if reference and k == 0 and cold.status == "optimal":
             name = names[j]
             fixed = MipModel(
                 tuple(
@@ -340,15 +468,11 @@ def _check_warm_children(model, spy, reference=False):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_warm_child_matches_cold(kind, monkeypatch):
     spy = _WarmSolves(monkeypatch)
-    markets = [make_fig1()] + [
-        generate(name, preset(name, n), 0)
-        for name, n in (("characteristics", 6), ("neighborhood", 7), ("popularity", 8))
-    ]
     branched = sum(
         _check_warm_children(build(inst, kind), spy, reference=True)
-        for inst in markets
+        for inst in _markets()
     )
-    assert branched >= 10 and len(spy.results) == branched
+    assert branched >= 10 and len(spy.results) == 3 * branched
     # the dual ratio test keeps every reduced cost on its optimal side, so
     # the basis the dual loop ends at is already optimal
     assert spy.clean_up_pivots == 0
@@ -412,7 +536,7 @@ def test_warm_infeasible_is_confirmed_cold(monkeypatch):
     assert child.iterations == warm_status[0][1] + cold_calls[1][2]
 
 
-def test_rejected_warm_point_is_re_solved_cold(monkeypatch):
+def test_rejected_warm_point_is_refactored(monkeypatch):
     model = build(make_fig1(), FormulationKind.U)
     lp, prices, int_idx, _ = _lp(model)
     root = lp.solve(start_at_upper=prices)
@@ -420,24 +544,23 @@ def test_rejected_warm_point_is_re_solved_cold(monkeypatch):
     cold = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices)
     child0 = lp.solve(*_fixed(lp, j, 0.0), start_at_upper=prices, keep_tableau=True)
 
-    warm_iterations, retries = [], []
+    warm_starts, warm_results, cold_solves = [], [], []
     feasible, resolve, solve = (
         SimplexSolver._feasible, SimplexSolver._resolve, SimplexSolver._solve
     )
 
     def reject_warm_point(self, *args):
-        # the warm point is the one checked before any cold solve has run
-        return bool(retries) and feasible(self, *args)
+        # the warm point is the one checked before any re-solve has run
+        return len(warm_results) > 1 and feasible(self, *args)
 
-    def spy_resolve(self, *args):
-        result = resolve(self, *args)
-        warm_iterations.append(result.iterations)
-        return result
+    def spy_resolve(self, start, *args):
+        warm_starts.append(start)
+        warm_results.append(resolve(self, start, *args))
+        return warm_results[-1]
 
     def spy_solve(self, *args):
-        result = solve(self, *args)
-        retries.append(result.iterations)
-        return result
+        cold_solves.append(args)
+        return solve(self, *args)
 
     monkeypatch.setattr(SimplexSolver, "_feasible", reject_warm_point)
     monkeypatch.setattr(SimplexSolver, "_resolve", spy_resolve)
@@ -445,8 +568,11 @@ def test_rejected_warm_point_is_re_solved_cold(monkeypatch):
     child = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices, start_from=child0)
     assert child.status == "optimal"
     assert child.objective == pytest.approx(cold.objective, abs=1e-9)
-    assert len(retries) == 1
-    assert child.iterations == warm_iterations[0] + retries[0]
+    # the rejected point's own basis is factorised afresh and re-optimised;
+    # nothing is solved from the slack basis
+    assert [id(start) for start in warm_starts] == [id(child0), id(warm_results[0])]
+    assert not cold_solves
+    assert child.iterations == sum(result.iterations for result in warm_results)
 
 
 def test_deadline_stops_the_lp():

@@ -468,3 +468,33 @@ def test_presolve_keeps_lp_and_mip_values(inst, kind, price_bound, close_mip):
             build(inst, FormulationKind.U, price_bound=price_bound)
         )
         assert abs(result.incumbent_value - optimum) <= 2e-6 * max(1.0, abs(optimum))
+
+
+def _near_tie_market(valuations):
+    """A 4 x 4 market from {(item, bidder): value}."""
+    return validate_instance(4, 4, [(i, b, v) for (i, b), v in valuations.items()])
+
+
+def test_near_tied_values_keep_the_root_lp_optimal():
+    # 2.0 next to 2.00001: the crash-started tableau drifts to a point that
+    # breaks the rows, and re-solving from the slack basis drifted again
+    inst = _near_tie_market(
+        {(0, 3): 1, (1, 0): 4, (1, 1): 2.00001, (2, 0): 2.00001, (2, 1): 2,
+         (3, 1): 1.875, (3, 3): 1}
+    )
+    model = build(inst, FormulationKind.I, price_bound=False)
+    sol = solve_lp(model)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(reference_lp_optimum(model), abs=1e-6)
+
+
+def test_near_tied_values_close_the_search():
+    # a node LP on this market used to end "numerical", which left the
+    # search "feasible" at 6.99999
+    inst = _near_tie_market(
+        {(0, 3): 2, (1, 1): 4, (1, 2): 2.5, (2, 0): 1, (2, 1): 2.00001, (2, 2): 2,
+         (2, 3): 1}
+    )
+    result = solve_mip(build(inst, FormulationKind.STM, price_bound=False), inst)
+    assert result.status == "optimal"
+    assert result.incumbent_value == pytest.approx(7.99999, abs=1e-9)
