@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from enum import Enum
 from typing import Mapping
 
@@ -87,22 +88,28 @@ class MipModel:
                     )
 
 
+# cached, so every model built shares one string per variable name
+@cache
 def _x(i: int, b: int) -> str:
     return f"x_{i + 1}_{b + 1}"
 
 
+@cache
 def _p(i: int) -> str:
     return f"p_{i + 1}"
 
 
+@cache
 def _ph(i: int, b: int) -> str:
     return f"ph_{i + 1}_{b + 1}"
 
 
+@cache
 def _z(b: int) -> str:
     return f"z_{b + 1}"
 
 
+@cache
 def _u(b: int) -> str:
     return f"u_{b + 1}"
 

@@ -1,4 +1,4 @@
-"""Two-phase primal simplex on a dense tableau with bounded variables.
+"""Two-phase primal simplex on a dense condensed tableau with bounded variables.
 
 Maximizes c.x subject to A x (<=, =, >=) b and finite lower bounds
 lb <= x <= ub (ub may be infinite).  Variable bounds are handled implicitly:
@@ -15,9 +15,9 @@ column space, the structurals and then one logical per row (the slack of a
 earlier optimal result of the same solver under other bounds
 (``start_from``), as branch-and-bound does for every node after the root.
 If that result still holds its tableau, the tableau is taken over in place;
-otherwise B^-1 [A | I] is computed again from an LU of the basic block:
-the basic logicals are unit columns, so only the rows whose logical is
-nonbasic, against the basic structurals, are factorised.  Reduced costs do
+otherwise its nonbasic columns are computed again from an LU of the basic
+block: the basic logicals are unit columns, so only the rows whose logical
+is nonbasic, against the basic structurals, are factorised.  Reduced costs do
 not depend on bounds, so either basis stays dual feasible; moving the
 changed variables to their new bounds leaves only basic values out of
 bounds, and a bounded dual simplex clears them: the row with the largest
@@ -42,6 +42,15 @@ sparse (CSR; a dense A is converted on entry), with >= rows folded in by a
 +-1 row sign.  Only the tableau is dense, kept Fortran-ordered so the rank-1
 pivot update runs as one in-place BLAS ger call; desk-scale models stay
 within a few thousand columns.
+
+The tableau is condensed (a dictionary, as in Chvatal's *Linear
+Programming*): it keeps B^-1 A_N, one column per nonbasic slot, and not the
+m unit columns of the basic variables.  A pivot gives the entering
+variable's slot to the leaving variable, whose column is written with the
+floating-point operations a full-tableau update would apply to it.  Slots
+are not in column order, so every tie among entering candidates goes to the
+slot holding the lowest column, as on the full tableau; the pivot sequence
+and every value are those of the full tableau.
 """
 
 from __future__ import annotations
@@ -68,12 +77,13 @@ _LOWER, _UPPER, _BASIC = 0, 1, 2
 class _Tableau(NamedTuple):
     """An optimal tableau in the shifted variables y = x - lob."""
 
-    T: np.ndarray
+    T: np.ndarray  # B^-1 A_N: one column per nonbasic slot
+    nb: np.ndarray  # the column held in each slot
     val: np.ndarray  # basic values
     basis: np.ndarray
     vstat: np.ndarray
     ubp: np.ndarray  # upper bounds of y
-    d: np.ndarray  # phase-2 reduced costs
+    d: np.ndarray  # phase-2 reduced costs, per slot
     lob: np.ndarray
     cols: np.ndarray  # each column's place in the fixed column space
 
@@ -238,8 +248,8 @@ class SimplexSolver:
 
         y_start = np.where(upper_start, span, 0.0)
         b0 = self.b - self.row_sign * (self.A @ (lob + y_start))
-        T, val, basis, art_start, cols = self._start_tableau(b0)
-        K = T.shape[1]
+        T, nb, val, basis, art_start, cols = self._start_tableau(b0)
+        K = len(cols)
 
         ubp = np.full(K, np.inf)
         ubp[:nv] = span
@@ -251,13 +261,13 @@ class SimplexSolver:
         if K > art_start:
             c1 = np.zeros(K)
             c1[art_start:] = -1.0
-            d = c1 - c1[basis] @ T
+            d = c1[nb] - c1[basis] @ T
             status, iterations = self._iterate(
-                T, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
+                T, nb, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
             )
             if status != "optimal":
                 return self._result(
-                    status, _Tableau(T, val, basis, vstat, ubp, d, lob, cols),
+                    status, _Tableau(T, nb, val, basis, vstat, ubp, d, lob, cols),
                     iterations,
                 )
             residual = val[basis >= art_start].sum() if m else 0.0
@@ -267,12 +277,12 @@ class SimplexSolver:
 
         cfull = np.zeros(K)
         cfull[:nv] = self.c
-        d = cfull - cfull[basis] @ T if m else cfull.copy()
+        d = cfull[nb] - cfull[basis] @ T if m else cfull[nb]
         status, iterations = self._iterate(
-            T, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
+            T, nb, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
         )
         return self._result(
-            status, _Tableau(T, val, basis, vstat, ubp, d, lob, cols), iterations
+            status, _Tableau(T, nb, val, basis, vstat, ubp, d, lob, cols), iterations
         )
 
     def _resolve(
@@ -298,45 +308,53 @@ class SimplexSolver:
             self.singular_blocks += tableau is None
         if tableau is None:
             return None
-        T, val, basis, vstat, ubp, d, old_lob, cols = tableau
+        T, nb, val, basis, vstat, ubp, d, old_lob, cols = tableau
         nv = self.nvars
 
         # every structural keeps its status and moves with its bound; the
-        # basic values absorb the move, val -= T[:, k] * shift_k (a basic k
-        # has the unit column, so only its own row shifts).  Nothing moves
-        # in a tableau just rebuilt at these bounds
+        # basic values absorb the move, val -= column_k * shift_k.  A
+        # nonbasic k's column is its slot's; a basic k's is the unit
+        # column of its row, so only that row shifts.  Nothing moves in a
+        # tableau just rebuilt at these bounds
         stat = vstat[:nv]
         old_x = old_lob + np.where(stat == _UPPER, ubp[:nv], 0.0)
         stat[(stat == _UPPER) & np.isinf(span)] = _LOWER
         shift = lob + np.where(stat == _UPPER, span, 0.0) - old_x
         moved = np.flatnonzero(shift)
         if moved.size:
-            val -= T[:, moved] @ shift[moved]
+            place = np.empty(len(vstat), dtype=np.intp)  # slot or row of a column
+            place[nb] = np.arange(nb.size)
+            place[basis] = np.arange(basis.size)
+            basic = stat[moved] == _BASIC
+            off = moved[~basic]
+            if off.size:
+                val -= T[:, place[off]] @ shift[off]
+            val[place[moved[basic]]] -= shift[moved[basic]]
         ubp[:nv] = span
 
         status, iterations = self._dual_iterate(
-            T, val, basis, vstat, ubp, d, max_iterations, 0, deadline
+            T, nb, val, basis, vstat, ubp, d, max_iterations, 0, deadline
         )
         if status == "optimal":
             status, iterations = self._iterate(
-                T, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
+                T, nb, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
             )
         return self._result(
-            status, _Tableau(T, val, basis, vstat, ubp, d, lob, cols), iterations
+            status, _Tableau(T, nb, val, basis, vstat, ubp, d, lob, cols), iterations
         )
 
     def _refactor(
         self, status: np.ndarray, lob: np.ndarray, span: np.ndarray
     ) -> _Tableau | None:
-        """The tableau B^-1 [A | I] of a stored basis at bounds lob, lob + span.
+        """The tableau B^-1 A_N of a stored basis at bounds lob, lob + span.
 
         Rows are ordered with R1, the rows whose logical is nonbasic, first:
         there the basic structurals S hold the rows, and B11 = A[R1, S] is
         the only block factorised.  The other rows R2 keep their basic
         logical, so B^-1 = [[B11^-1, 0], [-A21 B11^-1, I]] with A21 =
-        A[R2, S], kept sparse.  Only the nonbasic columns are computed, and
-        no temporary is larger than k x K, k = |S| and K the column count.
-        None if B11 is singular or ill-conditioned.
+        A[R2, S], kept sparse.  The slots hold the nonbasic columns in
+        ascending order, and no temporary is larger than k x K, k = |S| and
+        K the column count.  None if B11 is singular or ill-conditioned.
         """
         nv, m = self.nvars, len(self.b)
         K = nv + m
@@ -354,17 +372,21 @@ class SimplexSolver:
         y = np.where(vstat[:nv] == _UPPER, span, 0.0)
         val = np.empty(m)
         val[place] = self.b - self.row_sign * (self.A @ (lob + y))
+        nb = np.concatenate((np.flatnonzero(~basic[:nv]), nv + R1))
+        slot = np.full(K, -1)  # each nonbasic column's slot
+        slot[nb] = np.arange(nv)
         rows, cols, data = place[self._rows], self.A.indices, self._data
-        T = np.zeros((m, K), order="F")
-        T[rows, cols] = data
-        T[place, nv + np.arange(m)] = 1.0
+        in_s = slot[cols] < 0  # the entries in basic structural columns
+        kept = ~in_s
+        T = np.zeros((m, nv), order="F")
+        T[rows[kept], slot[cols[kept]]] = data[kept]
+        T[np.arange(k), slot[nv + R1]] = 1.0
         if k:
-            slot = np.full(nv, -1)  # each basic structural's place in S
-            slot[S] = np.arange(k)
-            in_s = slot[cols] >= 0
+            rank = np.full(nv, -1)  # each basic structural's place in S
+            rank[S] = np.arange(k)
             block = in_s & (rows < k)
             B11 = np.zeros((k, k), order="F")
-            B11[rows[block], slot[cols[block]]] = data[block]
+            B11[rows[block], rank[cols[block]]] = data[block]
             norm = np.abs(B11).sum(axis=0).max()
             lu, piv, info = dgetrf(B11, overwrite_a=1)
             if info != 0 or dgecon(lu, norm)[0] < PIVOT_TOL:
@@ -374,62 +396,60 @@ class SimplexSolver:
             indptr = np.zeros(m - k + 1, dtype=np.intp)
             np.cumsum(np.bincount(rows[low] - k, minlength=m - k), out=indptr[1:])
             A21 = sparse.csr_array(
-                (data[low], slot[cols[low]], indptr), shape=(m - k, k)
+                (data[low], rank[cols[low]], indptr), shape=(m - k, k)
             )
-            nonbasic = np.concatenate((np.flatnonzero(~basic[:nv]), nv + R1))
-            x = np.ascontiguousarray(dgetrs(lu, piv, T[:k, nonbasic])[0])
-            T[:k, nonbasic] = x
+            x = np.ascontiguousarray(dgetrs(lu, piv, T[:k])[0])
+            T[:k] = x
             width = k * K // max(m - k, 1)  # columns per product, within k x K
             for lo in range(0, nv, width):
-                part = nonbasic[lo:lo + width]
-                T[k:, part] -= A21 @ x[:, lo:lo + width]
+                T[k:, lo:lo + width] -= A21 @ x[:, lo:lo + width]
             val[:k] = dgetrs(lu, piv, val[:k])[0]
             val[k:] -= A21 @ val[:k]
-            T[:, S] = 0.0
-            T[np.arange(k), S] = 1.0
 
         basis = np.concatenate((S, nv + np.flatnonzero(basic[nv:])))
         ubp = np.concatenate((span, np.where(self._le, np.inf, 0.0)))
-        d = np.concatenate((self.c, np.zeros(m))) - self.c[S] @ T[:k]
-        d[basis] = 0.0
-        return _Tableau(T, val, basis, vstat, ubp, d, lob, np.arange(K))
+        d = np.concatenate((self.c, np.zeros(m)))[nb] - self.c[S] @ T[:k]
+        return _Tableau(T, nb, val, basis, vstat, ubp, d, lob, np.arange(K))
 
     def _start_tableau(self, b0: np.ndarray):
-        """Tableau, basic values, basis, first artificial column and each
-        column's place in the fixed column space, at b0 = b - A x0.
+        """Tableau, each slot's column, basic values, basis, first artificial
+        column and each column's place in the fixed column space, at b0 = b -
+        A x0.
 
         Columns are the structurals, one slack per <= row, then one artificial
         per row x0 violates (every = row, and <= rows with b0 < 0).  A row
         with b0 < 0 is negated so its basic variable starts at |b0|.  A
         slack and an artificial both stand for their row's logical: in a
         negated <= row the artificial is the slack's negative, and after
-        phase 1 it can only be basic at 0.
+        phase 1 it can only be basic at 0.  The artificials and the other
+        slacks start basic, so the slots hold the structurals and then the
+        slacks of the negated rows.
         """
         nv, A = self.nvars, self.A
         flip = b0 < 0
-        sign = np.where(flip, -1.0, 1.0)
         slack_rows = np.flatnonzero(self._le)
         art_rows = np.flatnonzero(~self._le | flip)
         art_start = nv + len(slack_rows)
         slack_cols = nv + np.arange(len(slack_rows))
         art_cols = art_start + np.arange(len(art_rows))
+        out = flip[slack_rows]  # the slacks that start nonbasic
+        nb = np.concatenate((np.arange(nv), slack_cols[out]))
 
-        T = np.zeros((len(b0), art_start + len(art_rows)), order="F")
-        T[self._rows, A.indices] = sign[self._rows] * self._data
-        T[slack_rows, slack_cols] = sign[slack_rows]
-        T[art_rows, art_cols] = 1.0
+        T = np.zeros((len(b0), nb.size), order="F")
+        T[self._rows, A.indices] = np.where(flip, -1.0, 1.0)[self._rows] * self._data
+        T[slack_rows[out], np.arange(nv, nb.size)] = -1.0
         basis = np.empty(len(b0), dtype=np.intp)
         basis[slack_rows] = slack_cols
         basis[art_rows] = art_cols
         cols = np.concatenate((np.arange(nv), nv + slack_rows, nv + art_rows))
-        return T, np.abs(b0), basis, art_start, cols
+        return T, nb, np.abs(b0), basis, art_start, cols
 
     def _result(
         self, status: str, tableau: _Tableau, iterations: int
     ) -> SimplexResult:
         """The point of a tableau; an optimal one keeps the tableau and its basis."""
         nv = self.nvars
-        _, val, basis, vstat, ubp, _, lob, cols = tableau
+        _, _, val, basis, vstat, ubp, _, lob, cols = tableau
         y = np.where(vstat == _UPPER, ubp, 0.0)
         y[basis] = val
         x = y[:nv] + lob
@@ -443,6 +463,7 @@ class SimplexSolver:
     @staticmethod
     def _iterate(
         T: np.ndarray,
+        nb: np.ndarray,
         val: np.ndarray,
         basis: np.ndarray,
         vstat: np.ndarray,
@@ -452,16 +473,19 @@ class SimplexSolver:
         iterations: int,
         deadline: float | None,
     ) -> tuple[str, int]:
-        """Primal simplex from a primal feasible basis."""
-        m, K = T.shape
+        """Primal simplex from a primal feasible basis.
+
+        Of tied slots, the one holding the lowest column enters.
+        """
+        m = T.shape[0]
         degenerate = 0
-        weight = np.ones(K)  # Devex reference weights
-        movable = ubp > 0.0
+        weight = np.ones(len(nb))  # Devex reference weights, per slot
         while True:
             bland = degenerate > BLAND_TRIGGER
-            improving = movable & (
-                ((vstat == _LOWER) & (d > OPTIMALITY_TOL))
-                | ((vstat == _UPPER) & (d < -OPTIMALITY_TOL))
+            stat = vstat[nb]
+            improving = (ubp[nb] > 0.0) & (
+                ((stat == _LOWER) & (d > OPTIMALITY_TOL))
+                | ((stat == _UPPER) & (d < -OPTIMALITY_TOL))
             )
             if not improving.any():
                 return "optimal", iterations
@@ -471,13 +495,11 @@ class SimplexSolver:
                 return "time-limit", iterations
             iterations += 1
             candidates = np.flatnonzero(improving)
-            if bland:
-                e = int(candidates[0])
-            else:
-                score = d[candidates] ** 2 / weight[candidates]
-                e = int(candidates[np.argmax(score)])
+            score = None if bland else d[candidates] ** 2 / weight[candidates]
+            j = _lowest(candidates, nb, score)
+            e = int(nb[j])
             dirn = 1.0 if vstat[e] == _LOWER else -1.0
-            g = dirn * T[:, e]
+            g = dirn * T[:, j]
 
             # ratio test: basics hitting their lower (0) or upper bound, and
             # the entering variable hitting its own opposite bound
@@ -515,21 +537,22 @@ class SimplexSolver:
                 degenerate += 1
 
             val -= t * g
-            leaving = basis[r]
-            piv = T[r, e]
+            piv = T[r, j]
             row = _pivot(
-                T, val, basis, vstat, d, r, e,
+                T, nb, val, basis, vstat, d, r, j,
                 (0.0 if dirn > 0 else ubp[e]) + dirn * t,
                 _LOWER if t_low[r] <= t_up[r] else _UPPER,
             )
-            # Devex weight propagation onto the reference framework
-            w_e = weight[e]
+            # Devex weight propagation onto the reference framework; slot j
+            # now holds the leaving variable
+            w_e = weight[j]
             np.maximum(weight, row * row * w_e, out=weight)
-            weight[leaving] = max(w_e / (piv * piv), 1.0)
+            weight[j] = max(w_e / (piv * piv), 1.0)
 
     @staticmethod
     def _dual_iterate(
         T: np.ndarray,
+        nb: np.ndarray,
         val: np.ndarray,
         basis: np.ndarray,
         vstat: np.ndarray,
@@ -542,10 +565,10 @@ class SimplexSolver:
         """Bounded dual simplex from a dual feasible basis.
 
         "optimal" here means primal feasible; "infeasible" means a row whose
-        basic value no nonbasic can move back towards its bound.
+        basic value no nonbasic can move back towards its bound.  Of tied
+        slots, the one holding the lowest column enters.
         """
         degenerate = 0
-        movable = ubp > 0.0
         while True:
             ub_basic = ubp[basis]
             violation = np.maximum(-val, val - ub_basic)
@@ -569,11 +592,9 @@ class SimplexSolver:
             # by -alpha_k * dirn_k * t; it is eligible when that is the way
             # the basic must go
             alpha = T[r]
-            dirn = np.where(vstat == _UPPER, -1.0, 1.0)
+            dirn = np.where(vstat[nb] == _UPPER, -1.0, 1.0)
             slope = alpha * dirn if to_lower else -alpha * dirn
-            eligible = np.flatnonzero(
-                movable & (vstat != _BASIC) & (slope < -PIVOT_TOL)
-            )
+            eligible = np.flatnonzero((ubp[nb] > 0.0) & (slope < -PIVOT_TOL))
             if not eligible.size:
                 return "infeasible", iterations
             # dual ratio test: the least |d_k / alpha_k| keeps every reduced
@@ -581,49 +602,67 @@ class SimplexSolver:
             ratio = np.abs(d[eligible] / alpha[eligible])
             step = ratio.min()
             ties = eligible[ratio <= step + 1e-12]
-            if bland:
-                e = int(ties[0])
-            else:
-                e = int(ties[np.argmax(np.abs(alpha[ties]))])
+            j = _lowest(ties, nb, None if bland else np.abs(alpha[ties]))
+            e = int(nb[j])
             if step < DEGENERATE_STEP:
                 degenerate += 1
 
-            t = (val[r] - target) / alpha[e]  # change of y_e
-            val -= t * T[:, e]
+            t = (val[r] - target) / alpha[j]  # change of y_e
+            val -= t * T[:, j]
             _pivot(
-                T, val, basis, vstat, d, r, e,
+                T, nb, val, basis, vstat, d, r, j,
                 (ubp[e] if vstat[e] == _UPPER else 0.0) + t,
                 _LOWER if to_lower else _UPPER,
             )
 
 
+def _lowest(slots: np.ndarray, nb: np.ndarray, key: np.ndarray | None) -> int:
+    """Of the slots with the largest key (all of them when key is None), the
+    slot holding the lowest column: np.argmax's pick over the columns in
+    column order, a NaN key counting as the largest."""
+    if key is not None:
+        top = key[np.argmax(key)]
+        slots = slots[np.isnan(key) if np.isnan(top) else key == top]
+    return int(slots[np.argmin(nb[slots])])
+
+
 def _pivot(
     T: np.ndarray,
+    nb: np.ndarray,
     val: np.ndarray,
     basis: np.ndarray,
     vstat: np.ndarray,
     d: np.ndarray,
     r: int,
-    e: int,
+    j: int,
     entering_val: float,
     leaving_status: int,
 ) -> np.ndarray:
-    """Column e enters the basis in row r; returns the new pivot row.
+    """Slot j's column enters the basis in row r and the leaving variable
+    takes slot j; returns the new pivot row.
 
-    The caller has already moved val along column e; the leaving variable
-    rests at the bound given by leaving_status.
+    The caller has already moved val along slot j; the leaving variable
+    rests at the bound given by leaving_status.  The leaving variable's
+    column is the unit column e_r, so a full-tableau update would make it
+    -col * (1 / piv) with 1 / piv in row r; it is written so, with the same
+    floating-point operations.
     """
-    vstat[basis[r]] = leaving_status
-    vstat[e] = _BASIC
-    basis[r] = e
+    leaving = basis[r]
+    vstat[leaving] = leaving_status
+    vstat[nb[j]] = _BASIC
+    basis[r] = nb[j]
+    nb[j] = leaving
     val[r] = entering_val
-    row = T[r] / T[r, e]  # fresh contiguous array
+    piv = T[r, j]
+    row = T[r] / piv  # fresh contiguous array
     T[r] = row
-    col = T[:, e].copy()
+    col = T[:, j].copy()
     col[r] = 0.0
     dger(-1.0, col, row, a=T, overwrite_a=1)
-    d -= d[e] * row
-    T[:, e] = 0.0
-    T[r, e] = 1.0
-    d[e] = 0.0
+    d_e = d[j]
+    d -= d_e * row
+    inv = 1.0 / piv
+    T[:, j] = -col * inv
+    T[r, j] = inv
+    d[j] = -(d_e * inv)
     return row

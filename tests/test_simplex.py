@@ -1,3 +1,4 @@
+import inspect
 import time
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from efp.formulations import (
 )
 from efp.generators import generate, preset
 from efp.simplex import SimplexSolver
-from efp.solver import compare_relaxations, model_arrays, solve_lp
+from efp.solver import compare_relaxations, model_arrays, solve_lp, solve_mip
 
 from conftest import make_fig1
 from reference_lp import reference_lp_optimum
@@ -159,6 +160,52 @@ def test_blands_rule_path_agrees(monkeypatch):
     assert bland.objective == pytest.approx(plain.objective, abs=1e-7)
 
 
+# The pivot sequence, pinned by values measured on the full m x (n + m)
+# tableau: fig1's root LP iterations per formulation, and on characteristics
+# n=8, seed 0 each uncapped search's nodes and its pivots over all LPs.  The
+# condensed tableau keeps one column per nonbasic slot, and slots are not in
+# column order; a tie broken by slot order instead of the lowest column
+# changes these counts.  Bland's rule from the first pivot (trigger -1) pins
+# its own tie-breaks.
+_PINNED_PIVOTS = {
+    1000: (
+        {"STM": 27, "I": 24, "L": 19, "P": 14, "U": 10},
+        {"STM": (107, 1480), "I": (23, 524), "L": (23, 424), "P": (27, 170),
+         "U": (29, 132)},
+    ),
+    -1: (
+        {"STM": 28, "I": 27, "L": 26, "P": 17, "U": 11},
+        {"STM": (107, 2969), "I": (23, 1137), "L": (23, 1096), "P": (27, 282),
+         "U": (29, 241)},
+    ),
+}
+
+
+@pytest.mark.parametrize("trigger", sorted(_PINNED_PIVOTS))
+def test_pivot_sequence_is_pinned(monkeypatch, trigger):
+    fig1_iterations, searches = _PINNED_PIVOTS[trigger]
+    monkeypatch.setattr(simplex, "BLAND_TRIGGER", trigger)
+    pivots = []
+    solve = SimplexSolver.solve
+
+    def counted(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        pivots.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(SimplexSolver, "solve", counted)
+    assert {
+        kind.value: solve_lp(build(make_fig1(), kind)).iterations for kind in ALL_KINDS
+    } == fig1_iterations
+    inst = generate("characteristics", preset("characteristics", 8), 0)
+    for kind in ALL_KINDS:
+        pivots.clear()
+        result = solve_mip(build(inst, kind), inst)
+        assert result.status == "optimal"
+        assert (result.nodes, sum(pivots)) == searches[kind.value], kind
+        assert result.incumbent_value == pytest.approx(740.049380512, abs=1e-9)
+
+
 def _loop_start_tableau(solver, b0):
     """Row-by-row build of the start tableau, the reference for the array build.
 
@@ -204,11 +251,15 @@ def test_start_tableau_matches_row_loop():
     starts += [(solver, np.zeros(2)) for solver in mixed]
     for solver, x0 in starts:
         b0 = solver.b - solver.row_sign * (solver.A @ x0)
-        got = solver._start_tableau(b0)
-        want = _loop_start_tableau(solver, b0)
-        for g, w in zip(got[:3], want[:3]):
+        T, nb, val, basis, art_start, cols = solver._start_tableau(b0)
+        want_T, want_val, want_basis, want_art_start = _loop_start_tableau(solver, b0)
+        # every column is basic or held in exactly one slot
+        K = want_T.shape[1]
+        assert np.array_equal(np.sort(np.concatenate((nb, basis))), np.arange(K))
+        assert cols.size == K
+        for g, w in ((T, want_T[:, nb]), (val, want_val), (basis, want_basis)):
             assert g.tobytes() == w.tobytes()  # bit for bit, signed zeros too
-        assert got[3] == want[3]
+        assert art_start == want_art_start
 
 
 def test_crash_start_agrees():
@@ -275,20 +326,28 @@ def _in_fixed_space(tableau):
     """A tableau's rows, keyed by their basic column, and its reduced costs,
     over the fixed column space: structurals, then one logical per row.
 
-    Each logical is read from its first tableau column (a <= row's slack
-    comes before its artificial), and each row is scaled to a basic entry
-    of +1, which undoes the sign of an artificial basic in a negated row.
+    The kept nonbasic columns are first expanded to the full tableau, with
+    the unit column of each basic.  Each logical is read from its first
+    tableau column (a <= row's slack comes before its artificial), and each
+    row is scaled to a basic entry of +1, which undoes the sign of an
+    artificial basic in a negated row.
     """
+    m = tableau.basis.size
+    full = np.zeros((m, tableau.cols.size))
+    full[:, tableau.nb] = tableau.T
+    full[np.arange(m), tableau.basis] = 1.0
+    d = np.zeros(tableau.cols.size)
+    d[tableau.nb] = tableau.d
     fixed, first = np.unique(tableau.cols, return_index=True)
     assert np.array_equal(fixed, np.arange(fixed.size))
-    T = tableau.T[:, first]
+    T = full[:, first]
     keys = tableau.cols[tableau.basis]
     scale = T[np.arange(keys.size), keys]
     assert np.array_equal(np.abs(scale), np.ones(keys.size))
     rows = {
         int(f): (T[i] * scale[i], tableau.val[i] * scale[i]) for i, f in enumerate(keys)
     }
-    return rows, tableau.d[first]
+    return rows, d[first]
 
 
 def _assert_rebuilt_matches_kept(lp, kept, basis):
@@ -406,6 +465,7 @@ class _WarmSolves:
         self.clean_up_pivots = 0
         self._warm = False
         resolve, iterate = SimplexSolver._resolve, SimplexSolver._iterate
+        signature = inspect.signature(iterate)
 
         def spy_resolve(lp, *args):
             self._warm = True
@@ -418,7 +478,9 @@ class _WarmSolves:
         def spy_iterate(*args):
             status, iterations = iterate(*args)
             if self._warm:
-                self.clean_up_pivots += iterations - args[7]
+                self.clean_up_pivots += (
+                    iterations - signature.bind(*args).arguments["iterations"]
+                )
             return status, iterations
 
         monkeypatch.setattr(SimplexSolver, "_resolve", spy_resolve)
