@@ -543,11 +543,12 @@ class SimplexSolver:
                 (0.0 if dirn > 0 else ubp[e]) + dirn * t,
                 _LOWER if t_low[r] <= t_up[r] else _UPPER,
             )
-            # Devex weight propagation onto the reference framework; slot j
-            # now holds the leaving variable
-            w_e = weight[j]
-            np.maximum(weight, row * row * w_e, out=weight)
-            weight[j] = max(w_e / (piv * piv), 1.0)
+            # Devex weight propagation onto the reference framework, which
+            # Bland's rule never reads; slot j now holds the leaving variable
+            if not bland:
+                w_e = weight[j]
+                np.maximum(weight, row * row * w_e, out=weight)
+                weight[j] = max(w_e / (piv * piv), 1.0)
 
     @staticmethod
     def _dual_iterate(

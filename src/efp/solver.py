@@ -29,7 +29,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -54,14 +54,19 @@ class InvalidLimitError(ValueError):
     """A time limit, node limit or gap tolerance outside its domain."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
-    """Result of one linear-relaxation solve."""
+    """Result of one linear-relaxation solve: x over the named columns, if any."""
 
     status: str  # optimal | infeasible | unbounded | iteration-limit | numerical
     objective: float
-    values: dict[str, float]
+    names: tuple[str, ...]
+    x: Optional[np.ndarray]
     iterations: int
+
+    @property
+    def values(self) -> dict[str, float]:
+        return {} if self.x is None else dict(zip(self.names, self.x.tolist()))
 
 
 @dataclass(frozen=True)
@@ -91,37 +96,10 @@ class RelaxationReport:
         return not self.failed and not self.violations
 
 
-def _arrays(model: MipModel):
-    """Names, c, CSR A, senses, b, lb, ub and integrality from the model's dicts.
-
-    A's indptr, indices and data are written straight from the constraint
-    dicts; sorting each row's indices gives the canonical CSR form.
-    """
-    names = [v.name for v in model.variables]
-    index = {name: j for j, name in enumerate(names)}
-    c = np.array([model.objective.get(name, 0.0) for name in names], dtype=float)
-    coeffs = [con.coeffs for con in model.constraints]
-    indptr = np.zeros(len(coeffs) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, coeffs), np.int64, len(coeffs)), out=indptr[1:])
-    nnz = int(indptr[-1])
-    indices = np.fromiter(
-        map(index.__getitem__, chain.from_iterable(coeffs)), np.int64, nnz
-    )
-    data = np.fromiter(chain.from_iterable(map(dict.values, coeffs)), float, nnz)
-    A = sparse.csr_array((data, indices, indptr), shape=(len(coeffs), len(names)))
-    A.sort_indices()
-    senses = [con.sense for con in model.constraints]
-    b = np.array([con.rhs for con in model.constraints], dtype=float)
-    lb = np.array([v.lower for v in model.variables], dtype=float)
-    ub = np.array([v.upper for v in model.variables], dtype=float)
-    integer = np.array([v.integer for v in model.variables], dtype=bool)
-    return names, c, A, senses, b, lb, ub, integer
-
-
 def model_arrays(model: MipModel):
-    """The solver's arrays with A dense (its CSR .toarray()), for reference solvers."""
-    names, c, A, *rest = _arrays(model)
-    return (names, c, A.toarray(), *rest)
+    """The model's names and arrays with A dense, for reference solvers."""
+    m = model
+    return m.names, m.c, m.A.toarray(), m.senses, m.b, m.lb, m.ub, m.integer
 
 
 def _presolve(c, A, senses, b, lb, ub, integer):
@@ -207,14 +185,12 @@ def _presolve(c, A, senses, b, lb, ub, integer):
 class _Setup(NamedTuple):
     """One model's presolved LP and the way back to the model's columns."""
 
-    names: list[str]
     lp: SimplexSolver  # on the kept columns and rows only
     start: np.ndarray  # the lp's price columns: its crash start
     binaries: np.ndarray  # the lp's binary columns
     columns: np.ndarray  # model position of each lp column
     fixed_x: np.ndarray  # full-length x: fixed columns at their value, 0 elsewhere
     offset: float  # c @ fixed_x, the fixed columns' share of the objective
-    prices: np.ndarray  # model positions of p_1..p_n
 
     def full(self, x: np.ndarray) -> np.ndarray:
         """The lp's x at full length, in model positions."""
@@ -227,14 +203,14 @@ def _setup(model: MipModel) -> _Setup:
     """The presolved LP of one model, its price columns and binary positions.
 
     The LP keeps the columns and rows _presolve leaves, so its objective
-    lacks the fixed columns' offset and full() maps its x back.  build()
-    declares p_1..p_n in item order, so full(x)[prices] is the price vector.
-    The price columns double as the crash start: every envy-style row holds
+    lacks the fixed columns' offset and full() maps its x back.  A is taken
+    with each row's entries sorted, the canonical CSR form.  The model's
+    price columns double as the crash start: every envy-style row holds
     when each price sits at the item's maximum valuation, so the slack basis
     is feasible and phase 1 vanishes whenever the price cap is active.
     """
-    names, c, A, senses, b, lb, ub, integer = _arrays(model)
-    fixed, rows = _presolve(c, A, senses, b, lb, ub, integer)
+    c, A, b, lb, ub = model.c, model.A.sorted_indices(), model.b, model.lb, model.ub
+    fixed, rows = _presolve(c, A, model.senses, b, lb, ub, model.integer)
     fixed_x = np.where(fixed, lb, 0.0)
     columns = np.flatnonzero(~fixed)
     # A's kept entries, counted up to the end of each kept row, give indptr
@@ -246,22 +222,19 @@ def _setup(model: MipModel) -> _Setup:
         (A.data[kept], indices, indptr), shape=(indptr.size - 1, columns.size)
     )
     lp = SimplexSolver(
-        c[columns], reduced, list(compress(senses, rows)), (b - A @ fixed_x)[rows],
+        c[columns], reduced, list(compress(model.senses, rows)), (b - A @ fixed_x)[rows],
         lb[columns], ub[columns],
     )
-    is_price = np.array([name.startswith("p_") for name in names], dtype=bool)
-    return _Setup(
-        names, lp, is_price[columns], np.flatnonzero(integer[columns]), columns,
-        fixed_x, float(c @ fixed_x), np.flatnonzero(is_price),
-    )
+    start, binaries = np.isin(columns, model.prices), np.flatnonzero(model.integer[columns])
+    return _Setup(lp, start, binaries, columns, fixed_x, float(c @ fixed_x))
 
 
 def solve_lp(model: MipModel, *, max_iterations: int = 10**6) -> LpSolution:
     """Solve the linear relaxation of a model (integrality is ignored)."""
     s = _setup(model)
     res = s.lp.solve(start_at_upper=s.start, max_iterations=max_iterations)
-    values = dict(zip(s.names, s.full(res.x).tolist())) if res.x is not None else {}
-    return LpSolution(res.status, res.objective + s.offset, values, res.iterations)
+    x = None if res.x is None else s.full(res.x)
+    return LpSolution(res.status, res.objective + s.offset, model.names, x, res.iterations)
 
 
 def primal_heuristic(inst: Instance, prices) -> Outcome:
@@ -345,7 +318,7 @@ def solve_mip(
     # valid bound; if that ever happens the affected subtree is dropped and
     # the final status downgraded
     searched_exhaustively = root.status == "optimal"
-    incumbent = primal_heuristic(inst, s.full(root.x)[s.prices])
+    incumbent = primal_heuristic(inst, s.full(root.x)[model.prices])
     inc_val = incumbent.profit
 
     # each open node: -bound, a tie-break counter, its bounds and its LP
@@ -400,7 +373,7 @@ def solve_mip(
                 log.warning("node LP ended with status %s", child.status)
                 searched_exhaustively = False
                 continue
-            candidate = primal_heuristic(inst, s.full(child.x)[s.prices])
+            candidate = primal_heuristic(inst, s.full(child.x)[model.prices])
             if candidate.profit > inc_val:
                 incumbent, inc_val = candidate, candidate.profit
             child_bound = child.objective + s.offset

@@ -81,4 +81,4 @@ def parse_lp_text(text: str) -> MipModel:
         mentioned.update(con.coeffs)
     for name in sorted(mentioned - seen):
         ordered.append(Variable(name, 0.0, math.inf, False))
-    return MipModel(tuple(ordered), objective, tuple(constraints))
+    return MipModel.from_rows(tuple(ordered), objective, tuple(constraints))

@@ -4,6 +4,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from efp.allocation import envy_free_allocation
 from efp.core import Pricing, validate_instance
@@ -26,6 +28,7 @@ from efp.solver import solve_lp
 
 from conftest import make_fig1, random_instance, random_pricing
 from lp_text import parse_lp_text
+from reference_model import reference_build
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -81,14 +84,48 @@ def test_price_bound_toggle(fig1):
 
 def test_model_rejects_bad_structure():
     x = Variable("x_1_1", 0.0, 1.0, True)
-    with pytest.raises(ValueError):
-        MipModel((x, x), {}, ())
-    with pytest.raises(ValueError):
-        MipModel((x,), {"ghost": 1.0}, ())
-    with pytest.raises(ValueError):
-        MipModel((x,), {}, (Constraint("c", {"ghost": 1.0}, "<=", 0.0),))
-    with pytest.raises(ValueError):
-        MipModel((Variable("y", 0.0, 2.0, True),), {}, ())
+    with pytest.raises(ValueError, match="unique"):
+        MipModel.from_rows((x, x), {}, ())
+    with pytest.raises(ValueError, match="objective"):
+        MipModel.from_rows((x,), {"ghost": 1.0}, ())
+    with pytest.raises(ValueError, match="constraint c references an undeclared"):
+        MipModel.from_rows((x,), {}, (Constraint("c", {"ghost": 1.0}, "<=", 0.0),))
+    with pytest.raises(ValueError, match="binary"):
+        MipModel.from_rows((Variable("y", 0.0, 2.0, True),), {}, ())
+
+
+@st.composite
+def _markets(draw):
+    """Up to 5 x 5, with few distinct values, so ties v_ib = v_kb and items
+    and bidders without any valuation are common."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    value = st.one_of(st.just(0.0), st.sampled_from([1.0, 2.5]), st.floats(0.5, 10.0))
+    values = draw(st.lists(value, min_size=m * n, max_size=m * n))
+    return validate_instance(
+        m, n, [(k // n, k % n, v) for k, v in enumerate(values) if v > 0]
+    )
+
+
+def _solver_arrays(model):
+    """The arrays the solver takes, A with each row's entries sorted."""
+    A = model.A.sorted_indices()
+    m = model
+    return m.c, m.b, m.lb, m.ub, m.integer, m.prices, A.data, A.indices, A.indptr
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=_markets(), kind=st.sampled_from(ALL_KINDS), price_bound=st.booleans())
+@example(inst=TIED, kind=FormulationKind.STM, price_bound=True)
+@example(inst=validate_instance(2, 3, []), kind=FormulationKind.U, price_bound=False)
+def test_build_matches_the_dict_oracle(inst, kind, price_bound):
+    mine = build(inst, kind, price_bound=price_bound)
+    theirs = reference_build(inst, kind, price_bound=price_bound)
+    assert export_lp_text(mine) == export_lp_text(theirs)
+    assert (mine.names, mine.row_names, mine.senses) == (
+        theirs.names, theirs.row_names, theirs.senses,
+    )
+    for a, b in zip(_solver_arrays(mine), _solver_arrays(theirs)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_lp_text_sections(fig1):

@@ -160,6 +160,18 @@ def test_blands_rule_path_agrees(monkeypatch):
     assert bland.objective == pytest.approx(plain.objective, abs=1e-7)
 
 
+def test_blands_rule_leaves_the_devex_weights_alone(monkeypatch):
+    # under Bland's rule the weights used to keep growing until they
+    # overflowed to inf and then NaN on this model
+    model = build(generate("popularity", preset("popularity", 10), 1), "STM")
+    devex = solve_lp(model)
+    monkeypatch.setattr(simplex, "BLAND_TRIGGER", 0)
+    with np.errstate(over="raise", invalid="raise"):
+        bland = solve_lp(model)
+    assert devex.status == bland.status == "optimal"
+    assert bland.objective == pytest.approx(devex.objective, abs=1e-7)
+
+
 # The pivot sequence, pinned by values measured on the full m x (n + m)
 # tableau: fig1's root LP iterations per formulation, and on characteristics
 # n=8, seed 0 each uncapped search's nodes and its pivots over all LPs.  The
@@ -301,7 +313,7 @@ def _lp(model):
     """The solver, price mask and binary columns solve_mip uses for a model,
     and the model name of each of the solver's columns."""
     s = solver_module._setup(model)
-    return s.lp, s.start, s.binaries, [s.names[k] for k in s.columns]
+    return s.lp, s.start, s.binaries, [model.names[k] for k in s.columns]
 
 
 def _fixed(lp, j, value):
@@ -513,7 +525,7 @@ def _check_warm_children(model, spy, reference=False):
             ), (j, value, warm.objective, cold.objective)
         if reference and k == 0 and cold.status == "optimal":
             name = names[j]
-            fixed = MipModel(
+            fixed = MipModel.from_rows(
                 tuple(
                     replace(v, lower=1.0, integer=False) if v.name == name else v
                     for v in model.variables

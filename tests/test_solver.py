@@ -23,7 +23,11 @@ from efp.solver import (
     solve_mip,
 )
 
-from reference_lp import reference_lp_optimum, reference_mip_optimum
+from reference_lp import (
+    MARKET_HIGHS_SOLVE_ERROR,
+    reference_lp_optimum,
+    reference_mip_optimum,
+)
 
 
 def _instances(count, size=5, base_seed=0):
@@ -66,8 +70,8 @@ def test_model_arrays_is_the_dense_view_of_the_solver_matrix(fig1, kind):
     ]
     for inst in markets:
         model = build(inst, kind)
-        A = solver._arrays(model)[2]
-        # the CSR arrays written from the dicts are the canonical COO build's
+        A = model.A.sorted_indices()
+        # the model's CSR arrays, sorted, are the canonical COO build's
         reference = _coo_matrix(model)
         for part in ("data", "indices", "indptr"):
             mine, theirs = getattr(A, part), getattr(reference, part)
@@ -75,7 +79,7 @@ def test_model_arrays_is_the_dense_view_of_the_solver_matrix(fig1, kind):
             assert mine.tobytes() == theirs.tobytes(), part
         dense = model_arrays(model)[2]
         assert type(dense) is np.ndarray
-        assert dense.tobytes() == A.toarray().tobytes()
+        assert dense.tobytes() == A.toarray().tobytes() == model.A.toarray().tobytes()
         assert dense.tobytes() == _dict_loop_matrix(model).tobytes()
 
 
@@ -125,6 +129,21 @@ def test_mip_optima_match_reference_solver():
             assert result.incumbent_value == pytest.approx(
                 reference_mip_optimum(model), abs=1e-6
             ), (name, n, len(model.constraints))
+
+
+def test_every_kind_matches_its_own_reference_where_highs_presolve_fails():
+    # HiGHS's presolve stops with a solve error on this market's capped P
+    # model; the reference solves it again without its presolve
+    inst = validate_instance(
+        5, 4, [(i, b, v) for (i, b), v in MARKET_HIGHS_SOLVE_ERROR.items()]
+    )
+    for kind in ALL_KINDS:
+        model = build(inst, kind)
+        optimum = reference_mip_optimum(model)
+        assert optimum == pytest.approx(18.09405530484646, abs=1e-9), kind
+        result = solve_mip(model, inst)
+        assert result.status == "optimal"
+        assert result.incumbent_value == pytest.approx(optimum, abs=1e-6), kind
 
 
 def test_primal_heuristic_reads_prices(fig1):
@@ -352,7 +371,7 @@ def test_infeasible_lp_reported():
     model = build(inst, FormulationKind.U)
     from efp.formulations import Constraint, MipModel
 
-    forced = MipModel(
+    forced = MipModel.from_rows(
         model.variables,
         model.objective,
         model.constraints
@@ -385,9 +404,11 @@ def test_presolve_fixes_exactly_the_zero_value_pairs(fig1):
     for inst in (fig1, dense, popularity):
         for kind in ALL_KINDS:
             model = build(inst, kind)
-            names, c, A, senses, b, lb, ub, integer = solver._arrays(model)
-            fixed, rows = solver._presolve(c, A, senses, b, lb, ub, integer)
-            assert {names[j] for j in np.flatnonzero(fixed)} == _zero_value_pairs(inst)
+            A = model.A.sorted_indices()
+            fixed, rows = solver._presolve(
+                model.c, A, model.senses, model.b, model.lb, model.ub, model.integer
+            )
+            assert {model.names[j] for j in np.flatnonzero(fixed)} == _zero_value_pairs(inst)
             # the solver holds exactly the kept rows and columns of A
             lp = solver._setup(model).lp
             kept = A[rows][:, ~fixed]
@@ -460,13 +481,8 @@ def test_presolve_keeps_lp_and_mip_values(inst, kind, price_bound, close_mip):
     if close_mip == 0:  # a fifth of the draws also closes the search
         result = solve_mip(model, inst)
         assert result.status == "optimal"
-        # every formulation has the same optimum; HiGHS solves U, as in the
-        # benchmark (on some P models it stops with a solve error).  "optimal"
-        # is within solve_mip's 1e-6 relative gap, and HiGHS's feasibility
-        # slack moves its optimum by up to 1e-6 (11.500001 for 11.5)
-        optimum = reference_mip_optimum(
-            build(inst, FormulationKind.U, price_bound=price_bound)
-        )
+        # "optimal" is within solve_mip's 1e-6 relative gap
+        optimum = reference_mip_optimum(model)
         assert abs(result.incumbent_value - optimum) <= 2e-6 * max(1.0, abs(optimum))
 
 
