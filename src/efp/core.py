@@ -8,6 +8,7 @@ across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -31,7 +32,8 @@ class DuplicateEdgeError(InstanceError):
 class NonPositiveValueError(InstanceError):
     def __init__(self, item: int, bidder: int, value: float) -> None:
         super().__init__(
-            f"valuation for item {item}, bidder {bidder} must be positive, got {value}"
+            f"valuation for item {item}, bidder {bidder} must be positive and finite, "
+            f"got {value}"
         )
         self.item = item
         self.bidder = bidder
@@ -49,7 +51,8 @@ class IndexOutOfRangeError(InstanceError):
 
 @dataclass(frozen=True)
 class Instance:
-    """Sparse valuation matrix: ``valuations[(item, bidder)]`` > 0, absent = 0."""
+    """Sparse valuation matrix: ``valuations[(item, bidder)]`` finite and > 0,
+    absent = 0."""
 
     num_items: int
     num_bidders: int
@@ -61,7 +64,7 @@ class Instance:
         for (i, b), v in self.valuations.items():
             if not (0 <= i < self.num_items and 0 <= b < self.num_bidders):
                 raise IndexOutOfRangeError(i, b, self.num_items, self.num_bidders)
-            if not v > 0:
+            if not 0 < v < math.inf:
                 raise NonPositiveValueError(i, b, v)
 
     def value(self, item: int, bidder: int) -> float:
@@ -158,7 +161,7 @@ def validate_instance(
             raise IndexOutOfRangeError(item, bidder, num_items, num_bidders)
         if (item, bidder) in valuations:
             raise DuplicateEdgeError(item, bidder)
-        if not value > 0:
+        if not 0 < value < math.inf:
             raise NonPositiveValueError(item, bidder, value)
         valuations[(item, bidder)] = float(value)
     return Instance(num_items, num_bidders, valuations)

@@ -1,17 +1,24 @@
-"""Two-phase primal simplex on a dense condensed tableau with bounded variables.
+"""Primal simplex on a dense condensed tableau with bounded variables.
 
 Maximizes c.x subject to A x (<=, =, >=) b and finite lower bounds
 lb <= x <= ub (ub may be infinite).  Variable bounds are handled implicitly:
 nonbasic variables rest at either bound, and the ratio test lets a basic
 variable leave at its lower or upper bound or lets the entering variable flip
-bounds without a basis change.  Phase 1 drives artificial variables for rows
-the starting point violates; a crash start can place selected variables at
-their upper bound, which for the pricing models makes the slack basis
-feasible and skips phase 1 entirely.
+bounds without a basis change.
 
-An optimal result carries its final basis: one status per column of a fixed
-column space, the structurals and then one logical per row (the slack of a
-<= row; for an = row, an artificial fixed at 0).  A solve can start from an
+Every column lives in one fixed column space: the structurals, then one
+logical per row (the slack of a <= row, >= rows folded in by a -1 row sign;
+for an = row, a logical fixed at 0).  A basis is one status per column, and
+one builder, _refactor, computes the tableau of any basis.  A cold solve
+starts from the slack basis, every logical basic, with a crash start that
+can place selected variables at their upper bound; for the pricing models
+that makes the slack basis feasible.  Where the start point breaks a row,
+phase 1 is the bounded dual simplex below run on a zero objective: every
+basis is dual feasible for it, so it ends at a feasible basis or at a row
+that proves the LP infeasible.  The reduced costs of c are then computed
+afresh and the primal loop runs.
+
+An optimal result carries its final basis.  A solve can start from an
 earlier optimal result of the same solver under other bounds
 (``start_from``), as branch-and-bound does for every node after the root.
 If that result still holds its tableau, the tableau is taken over in place;
@@ -20,7 +27,7 @@ block: the basic logicals are unit columns, so only the rows whose logical
 is nonbasic, against the basic structurals, are factorised.  Reduced costs do
 not depend on bounds, so either basis stays dual feasible; moving the
 changed variables to their new bounds leaves only basic values out of
-bounds, and a bounded dual simplex clears them: the row with the largest
+bounds, and the bounded dual simplex clears them: the row with the largest
 bound violation leaves, and the entering column is the nonbasic that can
 move that row the right way at the least |d_k / a_rk|.  The primal loop
 then runs as a clean-up.  A singular or ill-conditioned block falls back to
@@ -35,13 +42,14 @@ slack basis if that block is singular), and a second failure is status
 cold solve the LP would get without a warm start.
 
 Pricing is Devex (approximate steepest edge); Bland's rule engages after a
-run of degenerate pivots to guarantee termination, in both loops.  A
-deadline (an absolute ``time.perf_counter()`` value) is checked once per
-pivot; a loop that passes it stops with status "time-limit".  A is held once,
-sparse (CSR; a dense A is converted on entry), with >= rows folded in by a
-+-1 row sign.  Only the tableau is dense, kept Fortran-ordered so the rank-1
-pivot update runs as one in-place BLAS ger call; desk-scale models stay
-within a few thousand columns.
+run of degenerate pivots to guarantee termination, in both loops (every
+phase-1 pivot is degenerate in the zero objective).  A deadline (an
+absolute ``time.perf_counter()`` value) is checked once per pivot; a loop
+that passes it stops with status "time-limit".  A is held once, sparse
+(CSR; a dense A is converted on entry), with >= rows folded in by a +-1 row
+sign.  Only the tableau is dense, kept Fortran-ordered so the rank-1 pivot
+update runs as one in-place BLAS ger call; desk-scale models stay within a
+few thousand columns.
 
 The tableau is condensed (a dictionary, as in Chvatal's *Linear
 Programming*): it keeps B^-1 A_N, one column per nonbasic slot, and not the
@@ -83,9 +91,8 @@ class _Tableau(NamedTuple):
     basis: np.ndarray
     vstat: np.ndarray
     ubp: np.ndarray  # upper bounds of y
-    d: np.ndarray  # phase-2 reduced costs, per slot
+    d: np.ndarray  # reduced costs of c, per slot
     lob: np.ndarray
-    cols: np.ndarray  # each column's place in the fixed column space
 
 
 @dataclass
@@ -123,7 +130,7 @@ class SimplexSolver:
         self.nvars = len(c)
         self.c = np.asarray(c, dtype=float)
         self.A = sparse.csr_array(A, dtype=float, copy=True)
-        self.A.sum_duplicates()  # the start tableau writes each entry once
+        self.A.sum_duplicates()  # _refactor writes each entry once
         unknown = set(senses) - {"<=", "=", ">="}
         if unknown:
             raise ValueError(f"unknown constraint sense {unknown.pop()!r}")
@@ -164,6 +171,8 @@ class SimplexSolver:
         """
         lob = self.lb if lb is None else np.asarray(lb, dtype=float)
         upb = self.ub if ub is None else np.asarray(ub, dtype=float)
+        if np.any(upb - lob < -1e-12):
+            return SimplexResult("infeasible", float("nan"), None, 0)
         result = None
         if start_from is not None:
             result = self._resolve(start_from, lob, upb, max_iterations, deadline)
@@ -234,55 +243,32 @@ class SimplexSolver:
         deadline: float | None,
     ) -> SimplexResult:
         nv = self.nvars
-        m = len(self.b)
-        span = upb - lob
-        if np.any(span < -1e-12):
-            return SimplexResult("infeasible", float("nan"), None, 0)
-        span = np.maximum(span, 0.0)
-
-        # optional crash start: the flagged variables begin nonbasic at their
-        # upper bound, which can make the slack basis feasible and skip phase 1
-        upper_start = np.zeros(nv, dtype=bool)
+        span = np.maximum(upb - lob, 0.0)
+        # the slack basis, crash-started: the flagged structurals rest at
+        # their upper bound, which can make the start point feasible
+        crash = np.full(nv + len(self.b), _BASIC, dtype=np.int8)
+        crash[:nv] = _LOWER
         if start_at_upper is not None:
-            upper_start = start_at_upper & np.isfinite(span) & (span > 0)
+            crash[:nv][start_at_upper & np.isfinite(span) & (span > 0)] = _UPPER
+        T, nb, val, basis, vstat, ubp, d, _ = self._refactor(crash, lob, span)
 
-        y_start = np.where(upper_start, span, 0.0)
-        b0 = self.b - self.row_sign * (self.A @ (lob + y_start))
-        T, nb, val, basis, art_start, cols = self._start_tableau(b0)
-        K = len(cols)
-
-        ubp = np.full(K, np.inf)
-        ubp[:nv] = span
-        vstat = np.full(K, _LOWER, dtype=np.int8)
-        vstat[:nv][upper_start] = _UPPER
-        vstat[basis] = _BASIC
-
-        iterations = 0
-        if K > art_start:
-            c1 = np.zeros(K)
-            c1[art_start:] = -1.0
-            d = c1[nb] - c1[basis] @ T
+        # phase 1: every basis is dual feasible for a zero objective, so the
+        # dual loop ends at a feasible basis or at a row proving infeasibility
+        status, iterations = self._dual_iterate(
+            T, nb, val, basis, vstat, ubp, np.zeros(nb.size), max_iterations, 0,
+            deadline,
+        )
+        if status == "infeasible":
+            return SimplexResult("infeasible", float("nan"), None, iterations)
+        if status == "optimal":
+            if iterations:  # the basis moved: price it afresh
+                cost = np.concatenate((self.c, np.zeros(len(self.b))))
+                d = cost[nb] - cost[basis] @ T
             status, iterations = self._iterate(
                 T, nb, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
             )
-            if status != "optimal":
-                return self._result(
-                    status, _Tableau(T, nb, val, basis, vstat, ubp, d, lob, cols),
-                    iterations,
-                )
-            residual = val[basis >= art_start].sum() if m else 0.0
-            if residual > FEASIBILITY_TOL:
-                return SimplexResult("infeasible", float("nan"), None, iterations)
-            ubp[art_start:] = 0.0
-
-        cfull = np.zeros(K)
-        cfull[:nv] = self.c
-        d = cfull[nb] - cfull[basis] @ T if m else cfull[nb]
-        status, iterations = self._iterate(
-            T, nb, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
-        )
         return self._result(
-            status, _Tableau(T, nb, val, basis, vstat, ubp, d, lob, cols), iterations
+            status, _Tableau(T, nb, val, basis, vstat, ubp, d, lob), iterations
         )
 
     def _resolve(
@@ -299,16 +285,13 @@ class SimplexSolver:
         factorised afresh.  None means start has no basis, or a singular one.
         """
         tableau, start.tableau = start.tableau, None
-        span = upb - lob
-        if np.any(span < -1e-12):
-            return SimplexResult("infeasible", float("nan"), None, 0)
-        span = np.maximum(span, 0.0)
+        span = np.maximum(upb - lob, 0.0)
         if tableau is None and start.basis is not None:
             tableau = self._refactor(start.basis, lob, span)
             self.singular_blocks += tableau is None
         if tableau is None:
             return None
-        T, nb, val, basis, vstat, ubp, d, old_lob, cols = tableau
+        T, nb, val, basis, vstat, ubp, d, old_lob = tableau
         nv = self.nvars
 
         # every structural keeps its status and moves with its bound; the
@@ -340,13 +323,14 @@ class SimplexSolver:
                 T, nb, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
             )
         return self._result(
-            status, _Tableau(T, nb, val, basis, vstat, ubp, d, lob, cols), iterations
+            status, _Tableau(T, nb, val, basis, vstat, ubp, d, lob), iterations
         )
 
     def _refactor(
         self, status: np.ndarray, lob: np.ndarray, span: np.ndarray
     ) -> _Tableau | None:
-        """The tableau B^-1 A_N of a stored basis at bounds lob, lob + span.
+        """The tableau B^-1 A_N of a basis at bounds lob, lob + span: the one
+        builder, for the cold start's slack basis and for stored bases alike.
 
         Rows are ordered with R1, the rows whose logical is nonbasic, first:
         there the basic structurals S hold the rows, and B11 = A[R1, S] is
@@ -354,7 +338,8 @@ class SimplexSolver:
         logical, so B^-1 = [[B11^-1, 0], [-A21 B11^-1, I]] with A21 =
         A[R2, S], kept sparse.  The slots hold the nonbasic columns in
         ascending order, and no temporary is larger than k x K, k = |S| and
-        K the column count.  None if B11 is singular or ill-conditioned.
+        K the column count.  At the slack basis k = 0: T is A, rows in
+        order, and no LU runs.  None if B11 is singular or ill-conditioned.
         """
         nv, m = self.nvars, len(self.b)
         K = nv + m
@@ -409,55 +394,21 @@ class SimplexSolver:
         basis = np.concatenate((S, nv + np.flatnonzero(basic[nv:])))
         ubp = np.concatenate((span, np.where(self._le, np.inf, 0.0)))
         d = np.concatenate((self.c, np.zeros(m)))[nb] - self.c[S] @ T[:k]
-        return _Tableau(T, nb, val, basis, vstat, ubp, d, lob, np.arange(K))
-
-    def _start_tableau(self, b0: np.ndarray):
-        """Tableau, each slot's column, basic values, basis, first artificial
-        column and each column's place in the fixed column space, at b0 = b -
-        A x0.
-
-        Columns are the structurals, one slack per <= row, then one artificial
-        per row x0 violates (every = row, and <= rows with b0 < 0).  A row
-        with b0 < 0 is negated so its basic variable starts at |b0|.  A
-        slack and an artificial both stand for their row's logical: in a
-        negated <= row the artificial is the slack's negative, and after
-        phase 1 it can only be basic at 0.  The artificials and the other
-        slacks start basic, so the slots hold the structurals and then the
-        slacks of the negated rows.
-        """
-        nv, A = self.nvars, self.A
-        flip = b0 < 0
-        slack_rows = np.flatnonzero(self._le)
-        art_rows = np.flatnonzero(~self._le | flip)
-        art_start = nv + len(slack_rows)
-        slack_cols = nv + np.arange(len(slack_rows))
-        art_cols = art_start + np.arange(len(art_rows))
-        out = flip[slack_rows]  # the slacks that start nonbasic
-        nb = np.concatenate((np.arange(nv), slack_cols[out]))
-
-        T = np.zeros((len(b0), nb.size), order="F")
-        T[self._rows, A.indices] = np.where(flip, -1.0, 1.0)[self._rows] * self._data
-        T[slack_rows[out], np.arange(nv, nb.size)] = -1.0
-        basis = np.empty(len(b0), dtype=np.intp)
-        basis[slack_rows] = slack_cols
-        basis[art_rows] = art_cols
-        cols = np.concatenate((np.arange(nv), nv + slack_rows, nv + art_rows))
-        return T, nb, np.abs(b0), basis, art_start, cols
+        return _Tableau(T, nb, val, basis, vstat, ubp, d, lob)
 
     def _result(
         self, status: str, tableau: _Tableau, iterations: int
     ) -> SimplexResult:
         """The point of a tableau; an optimal one keeps the tableau and its basis."""
         nv = self.nvars
-        _, _, val, basis, vstat, ubp, _, lob, cols = tableau
+        _, _, val, basis, vstat, ubp, _, lob = tableau
         y = np.where(vstat == _UPPER, ubp, 0.0)
         y[basis] = val
         x = y[:nv] + lob
         if status != "optimal":
             return SimplexResult(status, float(self.c @ x), x, iterations)
-        stored = np.full(nv + len(self.b), _LOWER, dtype=np.int8)
-        stored[:nv] = vstat[:nv]
-        stored[cols[basis]] = _BASIC
+        stored = vstat.copy()
+        stored[nv:][stored[nv:] == _UPPER] = _LOWER  # an = row's logical at 0
         return SimplexResult(status, float(self.c @ x), x, iterations, tableau, stored)
 
     @staticmethod

@@ -207,7 +207,8 @@ def _setup(model: MipModel) -> _Setup:
     with each row's entries sorted, the canonical CSR form.  The model's
     price columns double as the crash start: every envy-style row holds
     when each price sits at the item's maximum valuation, so the slack basis
-    is feasible and phase 1 vanishes whenever the price cap is active.
+    is feasible and phase 1 (the dual loop on a zero objective) makes no
+    pivot whenever the price cap is active.
     """
     c, A, b, lb, ub = model.c, model.A.sorted_indices(), model.b, model.lb, model.ub
     fixed, rows = _presolve(c, A, model.senses, b, lb, ub, model.integer)

@@ -214,13 +214,15 @@ def test_round_dimension_mismatch(fig1_path):
         ["oracle", "{fig1}", "--seed", "1"],
         ["generate", "--model", "popularity", "--n", "4", "--time-limit", "5",
          "--output", "{out}"],
+        ["solve", "{inf_edge}"],
     ],
     ids=["n1", "edge-budget", "sizes1", "eps2", "eps0", "negative-price",
          "nan-price", "no-edges", "oracle-too-large", "tolerance-nan",
          "tolerance-negative", "time-limit-nan", "time-limit-negative",
          "node-limit-0", "round-tolerance-nan", "round-prices-tolerance-nan",
          "round-prices-time-limit-negative", "benchmark-tolerance-nan",
-         "seeds0", "budget-negative", "oracle-dead-flag", "generate-dead-flag"],
+         "seeds0", "budget-negative", "oracle-dead-flag", "generate-dead-flag",
+         "inf-valuation"],
 )
 def test_input_errors_exit_1(args, fig1_path, tmp_path, capsys):
     no_edges = tmp_path / "no_edges.efp"
@@ -228,8 +230,11 @@ def test_input_errors_exit_1(args, fig1_path, tmp_path, capsys):
     twelve_items = tmp_path / "twelve.efp"
     save_instance(validate_instance(12, 1, [(i, 0, 1.0) for i in range(12)]),
                   twelve_items)
+    # an infinite valuation used to reach the solver: "unbounded LP is a bug"
+    inf_edge = tmp_path / "inf.efp"
+    inf_edge.write_text("EFP 1\nitems 1\nbidders 1\nedge 1 1 inf\n")
     paths = {"out": tmp_path / "out.efp", "fig1": fig1_path, "no_edges": no_edges,
-             "twelve_items": twelve_items}
+             "twelve_items": twelve_items, "inf_edge": inf_edge}
     assert main([arg.format(**paths) for arg in args]) == 1
     assert "efp: error:" in capsys.readouterr().err
 

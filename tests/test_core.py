@@ -3,6 +3,7 @@ import pytest
 from efp.core import (
     DuplicateEdgeError,
     IndexOutOfRangeError,
+    Instance,
     InstanceError,
     NonPositiveValueError,
     Pricing,
@@ -32,10 +33,13 @@ def test_duplicate_edge_rejected():
         validate_instance(1, 1, [(0, 0, 5.0), (0, 0, 5.0)])
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
 def test_non_positive_value_rejected(value):
-    with pytest.raises(NonPositiveValueError):
-        validate_instance(2, 2, [(0, 0, value)])
+    # an infinite valuation used to pass and make the pricing LP unbounded
+    with pytest.raises(NonPositiveValueError, match="positive and finite"):
+        validate_instance(2, 2, [(0, 0, value), (1, 1, 3.0)])
+    with pytest.raises(NonPositiveValueError, match="positive and finite"):
+        Instance(2, 2, {(0, 0): value})
 
 
 @pytest.mark.parametrize("edge", [(2, 0, 1.0), (0, 2, 1.0), (-1, 0, 1.0)])

@@ -91,6 +91,14 @@ def test_infeasible():
         assert s.solve().status == "infeasible"
 
 
+def test_zero_cost_dual_proves_an_equality_row_infeasible():
+    # x + y = 3 with x, y <= 1: the slack basis breaks the row, and phase 1
+    # ends at a row no nonbasic can move back
+    for s in _solvers([1, 1], [[1, 1]], ["="], [3], [0, 0], [1, 1]):
+        res = s.solve()
+        assert (res.status, res.x) == ("infeasible", None)
+
+
 def test_conflicting_bounds_infeasible():
     for s in _solvers([1], [[1]], ["<="], [5], [2.0], [1.0]):
         assert s.solve().status == "infeasible"
@@ -132,13 +140,15 @@ def test_matches_reference_solver_on_worked_instance(kind):
     assert mine.objective == pytest.approx(reference_lp_optimum(model), abs=1e-6)
 
 
-def test_matches_reference_solver_on_generated_instances():
+@pytest.mark.parametrize("price_bound", [True, False])
+def test_matches_reference_solver_on_generated_instances(price_bound):
+    # without the price cap the crash point breaks rows, so phase 1 runs
     checked = 0
     for model_name, n in (("characteristics", 5), ("neighborhood", 5), ("popularity", 8)):
         for seed in range(3):
             inst = generate(model_name, preset(model_name, n), seed)
             for kind in ALL_KINDS:
-                model = build(inst, kind)
+                model = build(inst, kind, price_bound=price_bound)
                 mine = solve_lp(model)
                 assert mine.status == "optimal"
                 ref = reference_lp_optimum(model)
@@ -218,60 +228,71 @@ def test_pivot_sequence_is_pinned(monkeypatch, trigger):
         assert result.incumbent_value == pytest.approx(740.049380512, abs=1e-9)
 
 
-def _loop_start_tableau(solver, b0):
-    """Row-by-row build of the start tableau, the reference for the array build.
+# fig1's root LP iterations without the price cap, where the crash point
+# breaks rows and phase 1, the dual loop on a zero objective, runs first
+_PINNED_UNCAPPED = {
+    1000: {"STM": 35, "I": 30, "L": 25, "P": 17, "U": 11},
+    -1: {"STM": 46, "I": 30, "L": 27, "P": 21, "U": 20},
+}
 
-    A row is negated when exactly one of its >= fold and b0 < 0 holds; only
-    its stored entries are negated, so unstored zeros stay +0.0.
+
+@pytest.mark.parametrize("trigger", sorted(_PINNED_UNCAPPED))
+def test_uncapped_pivot_sequence_is_pinned(monkeypatch, trigger):
+    monkeypatch.setattr(simplex, "BLAND_TRIGGER", trigger)
+    assert {
+        kind.value: solve_lp(build(make_fig1(), kind, price_bound=False)).iterations
+        for kind in ALL_KINDS
+    } == _PINNED_UNCAPPED[trigger]
+
+
+def _loop_slack_tableau(solver, x0):
+    """Row-by-row build of the slack-basis tableau at x0, the reference for
+    _refactor: A's stored entries, a >= row's negated, and b - A x0.
+
+    Only stored entries are negated, so unstored zeros stay +0.0.
     """
-    nv, m, A = solver.nvars, len(b0), solver.A
-    le_rows = [r for r, s in enumerate(solver.senses) if s == "<="]
-    slack_of_row = {r: nv + j for j, r in enumerate(le_rows)}
-    art_rows = [
-        r for r, s in enumerate(solver.senses) if s == "=" or (s == "<=" and b0[r] < 0)
-    ]
-    art_of_row = {r: nv + len(le_rows) + j for j, r in enumerate(art_rows)}
-    T = np.zeros((m, nv + len(le_rows) + len(art_rows)), order="F")
-    T[:, :nv] = A.toarray()
+    nv, m, A = solver.nvars, len(solver.b), solver.A
+    T = np.zeros((m, nv), order="F")
     val = np.empty(m)
-    basis = np.empty(m, dtype=np.intp)
     for r in range(m):
-        flip = b0[r] < 0
-        if flip != (solver.row_sign[r] < 0):
-            stored = A.indices[A.indptr[r]:A.indptr[r + 1]]
-            T[r, stored] *= -1.0
-        if r in slack_of_row:
-            T[r, slack_of_row[r]] = -1.0 if flip else 1.0
-        if r in art_of_row:
-            T[r, art_of_row[r]] = 1.0
-            basis[r] = art_of_row[r]
-        else:
-            basis[r] = slack_of_row[r]
-        val[r] = abs(b0[r])
-    return T, val, basis, nv + len(le_rows)
+        entries = range(A.indptr[r], A.indptr[r + 1])
+        ax = 0.0
+        for e in entries:
+            T[r, A.indices[e]] = solver.row_sign[r] * A.data[e]
+            ax += A.data[e] * x0[A.indices[e]]
+        val[r] = solver.b[r] - solver.row_sign[r] * ax
+    return T, val
 
 
-def test_start_tableau_matches_row_loop():
+def test_slack_basis_tableau_matches_row_loop():
     starts = []
     for kind in ALL_KINDS:
         names, c, A, senses, b, lb, ub, _ = model_arrays(build(make_fig1(), kind))
-        solver = SimplexSolver(c, A, senses, b, lb, ub)
-        crash = np.where([n.startswith("p_") for n in names], ub, lb)
-        starts += [(solver, lb), (solver, crash)]
+        prices = np.array([n.startswith("p_") for n in names])
+        for solver in _solvers(c, A, senses, b, lb, ub):
+            starts += [(solver, np.zeros(len(c), dtype=bool)), (solver, prices)]
     mixed = _solvers([1, 1], [[1, 2], [3, 1], [1, 1]], ["<=", ">=", "="], [4, 6, 2],
                      [0, 0], [np.inf] * 2)
-    starts += [(solver, np.zeros(2)) for solver in mixed]
-    for solver, x0 in starts:
-        b0 = solver.b - solver.row_sign * (solver.A @ x0)
-        T, nb, val, basis, art_start, cols = solver._start_tableau(b0)
-        want_T, want_val, want_basis, want_art_start = _loop_start_tableau(solver, b0)
-        # every column is basic or held in exactly one slot
-        K = want_T.shape[1]
-        assert np.array_equal(np.sort(np.concatenate((nb, basis))), np.arange(K))
-        assert cols.size == K
-        for g, w in ((T, want_T[:, nb]), (val, want_val), (basis, want_basis)):
-            assert g.tobytes() == w.tobytes()  # bit for bit, signed zeros too
-        assert art_start == want_art_start
+    starts += [(solver, np.zeros(2, dtype=bool)) for solver in mixed]
+    for solver, upper in starts:
+        nv, m = solver.nvars, len(solver.b)
+        span = np.maximum(solver.ub - solver.lb, 0.0)
+        status = np.full(nv + m, simplex._BASIC, dtype=np.int8)
+        status[:nv] = np.where(upper, simplex._UPPER, simplex._LOWER)
+        tableau = solver._refactor(status, solver.lb, span)
+        x0 = solver.lb + np.where(upper, span, 0.0)
+        want_T, want_val = _loop_slack_tableau(solver, x0)
+        for got, want in ((tableau.T, want_T), (tableau.val, want_val)):
+            assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros too
+        # the structurals fill the slots in order, every logical is basic in
+        # its own row, and an = row's logical is fixed at 0
+        assert tableau.nb.tolist() == list(range(nv))
+        assert tableau.basis.tolist() == list(range(nv, nv + m))
+        assert tableau.vstat.tobytes() == status.tobytes()
+        assert tableau.ubp.tolist() == span.tolist() + [
+            np.inf if sense == "<=" else 0.0 for sense in solver.senses
+        ]
+        assert tableau.d.tobytes() == solver.c.tobytes()
 
 
 def test_crash_start_agrees():
@@ -338,28 +359,18 @@ def _in_fixed_space(tableau):
     """A tableau's rows, keyed by their basic column, and its reduced costs,
     over the fixed column space: structurals, then one logical per row.
 
-    The kept nonbasic columns are first expanded to the full tableau, with
-    the unit column of each basic.  Each logical is read from its first
-    tableau column (a <= row's slack comes before its artificial), and each
-    row is scaled to a basic entry of +1, which undoes the sign of an
-    artificial basic in a negated row.
+    The kept nonbasic columns are expanded to the full tableau, with the
+    unit column of each basic.
     """
     m = tableau.basis.size
-    full = np.zeros((m, tableau.cols.size))
+    K = tableau.nb.size + m
+    full = np.zeros((m, K))
     full[:, tableau.nb] = tableau.T
     full[np.arange(m), tableau.basis] = 1.0
-    d = np.zeros(tableau.cols.size)
+    d = np.zeros(K)
     d[tableau.nb] = tableau.d
-    fixed, first = np.unique(tableau.cols, return_index=True)
-    assert np.array_equal(fixed, np.arange(fixed.size))
-    T = full[:, first]
-    keys = tableau.cols[tableau.basis]
-    scale = T[np.arange(keys.size), keys]
-    assert np.array_equal(np.abs(scale), np.ones(keys.size))
-    rows = {
-        int(f): (T[i] * scale[i], tableau.val[i] * scale[i]) for i, f in enumerate(keys)
-    }
-    return rows, d[first]
+    rows = {int(f): (full[i], tableau.val[i]) for i, f in enumerate(tableau.basis)}
+    return rows, d
 
 
 def _assert_rebuilt_matches_kept(lp, kept, basis):
@@ -384,17 +395,14 @@ def test_rebuilt_tableau_matches_the_kept_one(kind):
 
 
 def test_basis_maps_every_row_to_its_logical():
-    # max 2x + y st x + y = 2, x + y >= 2, x <= 1.5: the crash start breaks
-    # the >= row, whose artificial stays basic at 0 in the negated row; in
-    # the fixed column space that is the >= row's logical, basic
+    # max 2x + y st x + y = 2, x + y >= 2, x <= 1.5: the slack basis breaks
+    # the = and the >= row, and the optimum is degenerate, with one of the
+    # three logicals basic at 0
     c, A, senses, b = [2, 1], [[1, 1], [1, 1], [1, 0]], ["=", ">=", "<="], [2, 2, 1.5]
     for lp in _solvers(c, A, senses, b, [0, 0], [np.inf] * 2):
         root = lp.solve(keep_tableau=True)
         assert root.status == "optimal" and root.objective == pytest.approx(3.5)
         kept = root.tableau
-        art_start = lp.nvars + 2  # after the slacks of the >= and the <= row
-        basic_artificials = kept.basis[kept.basis >= art_start]
-        assert (kept.cols[basic_artificials] - lp.nvars).tolist() == [1]
         # x and y basic, the = row's and the <= row's logicals nonbasic
         B, L = simplex._BASIC, simplex._LOWER
         assert root.basis.tolist() == [B, B, L, B, L]
