@@ -16,7 +16,14 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .core import Instance, validate_instance
+from .core import (
+    DuplicateEdgeError,
+    IndexOutOfRangeError,
+    Instance,
+    InstanceError,
+    NonPositiveValueError,
+    validate_instance,
+)
 
 FORMAT_VERSION = 1
 
@@ -61,13 +68,16 @@ def parse_instance(text: str) -> Instance:
         if len(parts) != 2 or parts[0] != prefix:
             raise FormatError(line_no, f"expected '{prefix} <count>', got {lines[line_no - 1]!r}")
         try:
-            return int(parts[1])
+            count = int(parts[1])
         except ValueError:
             raise FormatError(line_no, f"bad {prefix} count {parts[1]!r}") from None
+        if count < 1:
+            raise FormatError(line_no, f"{prefix} count {count} is below 1")
+        return count
 
     num_items = field(2, "items")
     num_bidders = field(3, "bidders")
-    edges = []
+    edges, edge_lines = [], []
     for line_no, line in enumerate(lines[3:], start=4):
         if not line:
             raise FormatError(line_no, "blank line")
@@ -82,10 +92,29 @@ def parse_instance(text: str) -> Instance:
         if i < 1 or b < 1:
             raise FormatError(line_no, "file indices are 1-based")
         edges.append((i - 1, b - 1, v))
+        edge_lines.append(line_no)
+    at = 0  # the line of the edge validate_instance read last
+
+    def numbered():
+        nonlocal at
+        for at, edge in zip(edge_lines, edges):
+            yield edge
+
     try:
-        return validate_instance(num_items, num_bidders, edges)
-    except ValueError as exc:
-        raise FormatError(0, str(exc)) from exc
+        return validate_instance(num_items, num_bidders, numbered())
+    except InstanceError as exc:
+        raise FormatError(at, _in_file_indices(exc, num_items, num_bidders)) from exc
+
+
+def _in_file_indices(exc: InstanceError, num_items: int, num_bidders: int) -> str:
+    """The message of a validation error, with the file's 1-based indices."""
+    if isinstance(exc, IndexOutOfRangeError):
+        exc = IndexOutOfRangeError(exc.item + 1, exc.bidder + 1, num_items, num_bidders)
+    elif isinstance(exc, DuplicateEdgeError):
+        exc = DuplicateEdgeError(exc.item + 1, exc.bidder + 1)
+    elif isinstance(exc, NonPositiveValueError):
+        exc = NonPositiveValueError(exc.item + 1, exc.bidder + 1, exc.value)
+    return str(exc)
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:

@@ -9,37 +9,39 @@ bounds without a basis change.
 Every column lives in one fixed column space: the structurals, then one
 logical per row (the slack of a <= row, >= rows folded in by a -1 row sign;
 for an = row, a logical fixed at 0).  A basis is one status per column, and
-one builder, _refactor, computes the tableau of any basis.  A cold solve
-starts from the slack basis, every logical basic, with a crash start that
-can place selected variables at their upper bound; for the pricing models
-that makes the slack basis feasible.  Where the start point breaks a row,
-phase 1 is the bounded dual simplex below run on a zero objective: every
-basis is dual feasible for it, so it ends at a feasible basis or at a row
-that proves the LP infeasible.  The reduced costs of c are then computed
-afresh and the primal loop runs.
+one builder, _refactor, computes the tableau of any basis.  A solve runs
+three steps, each written once.
 
-An optimal result carries its final basis.  A solve can start from an
-earlier optimal result of the same solver under other bounds
-(``start_from``), as branch-and-bound does for every node after the root.
-If that result still holds its tableau, the tableau is taken over in place;
-otherwise its nonbasic columns are computed again from an LU of the basic
-block: the basic logicals are unit columns, so only the rows whose logical
-is nonbasic, against the basic structurals, are factorised.  Reduced costs do
-not depend on bounds, so either basis stays dual feasible; moving the
-changed variables to their new bounds leaves only basic values out of
-bounds, and the bounded dual simplex clears them: the row with the largest
-bound violation leaves, and the entering column is the nonbasic that can
-move that row the right way at the least |d_k / a_rk|.  The primal loop
-then runs as a clean-up.  A singular or ill-conditioned block falls back to
-the cold solve and is counted in ``singular_blocks``.
-
-Between factorisations the tableau is updated by pivots alone, so drift can
-end a run at a basis whose point breaks the rows.  An "optimal" point is
-therefore checked against the rows and bounds before it is returned; one
-that fails is re-optimised from its own basis, factorised afresh (from the
-slack basis if that block is singular), and a second failure is status
-"numerical" with the first point.  A warm "infeasible" is confirmed by the
-cold solve the LP would get without a warm start.
+1. Choose a start.  A solve can start from an earlier optimal result of the
+   same solver under other bounds (``start_from``), as branch-and-bound does
+   for every node after the root.  If that result still holds its tableau,
+   the tableau is taken over in place; otherwise its nonbasic columns are
+   computed again from an LU of the basic block: the basic logicals are unit
+   columns, so only the rows whose logical is nonbasic, against the basic
+   structurals, are factorised.  The changed variables move to their new
+   bounds, which leaves only basic values out of bounds.  Without a stored
+   basis, or when its block is singular or ill-conditioned (counted in
+   ``singular_blocks``), the start is the slack basis, every logical basic,
+   with a crash start that can place selected variables at their upper
+   bound; for the pricing models that makes the slack basis feasible.  A
+   warm start that ends "infeasible" is confirmed by this cold start.
+2. Optimise.  One driver runs the bounded dual simplex, then the primal
+   loop.  Reduced costs do not depend on bounds, so a stored basis stays
+   dual feasible, and the dual loop clears its bound violations: the row
+   with the largest violation leaves, and the entering column is the
+   nonbasic that can move that row the right way at the least |d_k / a_rk|.
+   The primal loop then runs as a clean-up.  A cold start passes a zero
+   objective to the dual loop instead: every basis is dual feasible for it,
+   so the loop is phase 1 and ends at a feasible basis or at a row that
+   proves the LP infeasible.  If it pivoted, the reduced costs of c are
+   computed afresh before the primal loop.
+3. Check.  Between factorisations the tableau is updated by pivots alone, so
+   drift can end a run at a basis whose point breaks the rows.  An "optimal"
+   point is therefore checked against the rows and bounds before it is
+   returned; one that fails is re-optimised once from its own basis,
+   factorised afresh (from the slack basis if that block is singular), and a
+   second failure is status "numerical" with the first point.  An optimal
+   result carries its final basis.
 
 Pricing is Devex (approximate steepest edge); Bland's rule engages after a
 run of degenerate pivots to guarantee termination, in both loops (every
@@ -83,7 +85,7 @@ _LOWER, _UPPER, _BASIC = 0, 1, 2
 
 
 class _Tableau(NamedTuple):
-    """An optimal tableau in the shifted variables y = x - lob."""
+    """A tableau in the shifted variables y = x - lob."""
 
     T: np.ndarray  # B^-1 A_N: one column per nonbasic slot
     nb: np.ndarray  # the column held in each slot
@@ -159,14 +161,19 @@ class SimplexSolver:
         start_from: SimplexResult | None = None,
         keep_tableau: bool = False,
     ) -> SimplexResult:
-        """Solve under optional bound overrides; an "optimal" x is verified.
+        """Solve under optional bound overrides in three steps.
 
-        start_from is an earlier result of this solver.  If it kept its
-        tableau (keep_tableau=True), the solve re-optimises that tableau in
-        place under the new bounds and takes it from start_from; otherwise
-        it factorises start_from's basis afresh.  Without a start_from, or
-        when it was not optimal or its basis is singular, the solve starts
-        cold, crash-started by start_at_upper.  deadline is an absolute
+        Start: start_from is an earlier result of this solver.  If it kept
+        its tableau (keep_tableau=True), that tableau is taken from it and
+        re-optimised in place under the new bounds; otherwise start_from's
+        basis is factorised afresh.  Without a start_from, when its basis is
+        missing or singular, or when the warm start ends "infeasible", the
+        solve starts cold from the slack basis, crash-started by
+        start_at_upper.  Optimise: _optimise runs the dual loop, then the
+        primal loop.  Check: an "optimal" x that breaks a row or bound is
+        re-optimised once from its own basis, factorised afresh (from the
+        slack basis if that basis is singular); a second failure is
+        "numerical", with the first point.  deadline is an absolute
         time.perf_counter() value.
         """
         lob = self.lb if lb is None else np.asarray(lb, dtype=float)
@@ -176,53 +183,29 @@ class SimplexSolver:
         result = None
         if start_from is not None:
             result = self._resolve(start_from, lob, upb, max_iterations, deadline)
-        if result is None:
-            result = self._cold(lob, upb, start_at_upper, max_iterations, deadline)
-        elif result.status == "infeasible":
-            # confirmed by the solve this LP gets without a warm start
-            cold = self._cold(
-                lob, upb, start_at_upper, max_iterations - result.iterations, deadline
-            )
-            result = replace(cold, iterations=result.iterations + cold.iterations)
-        elif result.status == "optimal" and not self._feasible(result.x, lob, upb):
-            result = self._retry(result, lob, upb, max_iterations, deadline)
+        if result is None or result.status == "infeasible":
+            # a warm "infeasible" is confirmed by the cold start
+            spent = 0 if result is None else result.iterations
+            budget = max_iterations - spent
+            cold = self._solve(lob, upb, start_at_upper, budget, deadline)
+            result = replace(cold, iterations=spent + cold.iterations)
+        if result.status == "optimal" and not self._feasible(result.x, lob, upb):
+            # one retry, from the rejected basis factorised afresh
+            result.tableau = None  # one tableau alive at a time
+            budget = max_iterations - result.iterations
+            retry = self._resolve(result, lob, upb, budget, deadline)
+            if retry is None:
+                retry = self._solve(lob, upb, None, budget, deadline)
+            iterations = result.iterations + retry.iterations
+            if retry.status == "optimal" and self._feasible(retry.x, lob, upb):
+                result = replace(retry, iterations=iterations)
+            else:
+                result = SimplexResult(
+                    "numerical", result.objective, result.x, iterations
+                )
         if not keep_tableau:
             result.tableau = None
         return result
-
-    def _cold(
-        self,
-        lob: np.ndarray,
-        upb: np.ndarray,
-        start_at_upper: np.ndarray | None,
-        max_iterations: int,
-        deadline: float | None,
-    ) -> SimplexResult:
-        """Crash-started solve, re-optimised by _retry if its check fails."""
-        first = self._solve(lob, upb, start_at_upper, max_iterations, deadline)
-        if first.status == "optimal" and not self._feasible(first.x, lob, upb):
-            return self._retry(first, lob, upb, max_iterations, deadline)
-        return first
-
-    def _retry(
-        self,
-        first: SimplexResult,
-        lob: np.ndarray,
-        upb: np.ndarray,
-        max_iterations: int,
-        deadline: float | None,
-    ) -> SimplexResult:
-        """Re-optimise first's basis, factorised afresh, after its point failed
-        its check; from the slack basis if that basis is singular."""
-        first.tableau = None  # one tableau alive at a time
-        budget = max_iterations - first.iterations
-        retry = self._resolve(first, lob, upb, budget, deadline)
-        if retry is None:
-            retry = self._solve(lob, upb, None, budget, deadline)
-        iterations = first.iterations + retry.iterations
-        if retry.status == "optimal" and self._feasible(retry.x, lob, upb):
-            return replace(retry, iterations=iterations)
-        return SimplexResult("numerical", first.objective, first.x, iterations)
 
     def _feasible(self, x: np.ndarray, lob: np.ndarray, upb: np.ndarray) -> bool:
         """Rows and bounds hold within RESIDUAL_TOL * max(1, |rhs|)."""
@@ -242,34 +225,17 @@ class SimplexSolver:
         max_iterations: int,
         deadline: float | None,
     ) -> SimplexResult:
+        """Optimise from the slack basis, crash-started: the flagged
+        structurals rest at their upper bound, which can make the start point
+        feasible.  Phase 1 is the dual loop on a zero objective."""
         nv = self.nvars
         span = np.maximum(upb - lob, 0.0)
-        # the slack basis, crash-started: the flagged structurals rest at
-        # their upper bound, which can make the start point feasible
         crash = np.full(nv + len(self.b), _BASIC, dtype=np.int8)
         crash[:nv] = _LOWER
         if start_at_upper is not None:
             crash[:nv][start_at_upper & np.isfinite(span) & (span > 0)] = _UPPER
-        T, nb, val, basis, vstat, ubp, d, _ = self._refactor(crash, lob, span)
-
-        # phase 1: every basis is dual feasible for a zero objective, so the
-        # dual loop ends at a feasible basis or at a row proving infeasibility
-        status, iterations = self._dual_iterate(
-            T, nb, val, basis, vstat, ubp, np.zeros(nb.size), max_iterations, 0,
-            deadline,
-        )
-        if status == "infeasible":
-            return SimplexResult("infeasible", float("nan"), None, iterations)
-        if status == "optimal":
-            if iterations:  # the basis moved: price it afresh
-                cost = np.concatenate((self.c, np.zeros(len(self.b))))
-                d = cost[nb] - cost[basis] @ T
-            status, iterations = self._iterate(
-                T, nb, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
-            )
-        return self._result(
-            status, _Tableau(T, nb, val, basis, vstat, ubp, d, lob), iterations
-        )
+        tableau = self._refactor(crash, lob, span)
+        return self._optimise(tableau, np.zeros(nv), max_iterations, deadline)
 
     def _resolve(
         self,
@@ -279,7 +245,7 @@ class SimplexSolver:
         max_iterations: int,
         deadline: float | None,
     ) -> SimplexResult | None:
-        """Re-optimise start's basis under new bounds: dual, then primal.
+        """Optimise start's basis under new bounds.
 
         start's kept tableau is taken over; without one its basis is
         factorised afresh.  None means start has no basis, or a singular one.
@@ -314,17 +280,36 @@ class SimplexSolver:
                 val -= T[:, place[off]] @ shift[off]
             val[place[moved[basic]]] -= shift[moved[basic]]
         ubp[:nv] = span
+        return self._optimise(tableau._replace(lob=lob), d, max_iterations, deadline)
 
+    def _optimise(
+        self,
+        tableau: _Tableau,
+        d: np.ndarray,
+        max_iterations: int,
+        deadline: float | None,
+    ) -> SimplexResult:
+        """The dual loop on reduced costs d, then the primal loop on the
+        tableau's own, and the result.
+
+        A warm start passes the tableau's d, which the bound changes leave
+        dual feasible.  A cold start passes a zero d, for which every basis
+        is dual feasible, so the dual loop is phase 1: it ends at a feasible
+        basis or at a row that proves the LP infeasible.  A phase 1 that
+        pivoted has its basis priced afresh.
+        """
         status, iterations = self._dual_iterate(
-            T, nb, val, basis, vstat, ubp, d, max_iterations, 0, deadline
+            tableau._replace(d=d), max_iterations, 0, deadline
         )
         if status == "optimal":
+            if iterations and d is not tableau.d:  # a phase 1 that pivoted
+                cost = np.concatenate((self.c, np.zeros(len(self.b))))
+                d = cost[tableau.nb] - cost[tableau.basis] @ tableau.T
+                tableau = tableau._replace(d=d)
             status, iterations = self._iterate(
-                T, nb, val, basis, vstat, ubp, d, max_iterations, iterations, deadline
+                tableau, max_iterations, iterations, deadline
             )
-        return self._result(
-            status, _Tableau(T, nb, val, basis, vstat, ubp, d, lob), iterations
-        )
+        return self._result(status, tableau, iterations)
 
     def _refactor(
         self, status: np.ndarray, lob: np.ndarray, span: np.ndarray
@@ -399,7 +384,10 @@ class SimplexSolver:
     def _result(
         self, status: str, tableau: _Tableau, iterations: int
     ) -> SimplexResult:
-        """The point of a tableau; an optimal one keeps the tableau and its basis."""
+        """The point of a tableau, none if infeasible; an optimal one keeps the
+        tableau and its basis."""
+        if status == "infeasible":
+            return SimplexResult(status, float("nan"), None, iterations)
         nv = self.nvars
         _, _, val, basis, vstat, ubp, _, lob = tableau
         y = np.where(vstat == _UPPER, ubp, 0.0)
@@ -413,21 +401,13 @@ class SimplexSolver:
 
     @staticmethod
     def _iterate(
-        T: np.ndarray,
-        nb: np.ndarray,
-        val: np.ndarray,
-        basis: np.ndarray,
-        vstat: np.ndarray,
-        ubp: np.ndarray,
-        d: np.ndarray,
-        max_iterations: int,
-        iterations: int,
-        deadline: float | None,
+        tableau: _Tableau, max_iterations: int, iterations: int, deadline: float | None
     ) -> tuple[str, int]:
         """Primal simplex from a primal feasible basis.
 
         Of tied slots, the one holding the lowest column enters.
         """
+        T, nb, val, basis, vstat, ubp, d, _ = tableau
         m = T.shape[0]
         degenerate = 0
         weight = np.ones(len(nb))  # Devex reference weights, per slot
@@ -490,8 +470,7 @@ class SimplexSolver:
             val -= t * g
             piv = T[r, j]
             row = _pivot(
-                T, nb, val, basis, vstat, d, r, j,
-                (0.0 if dirn > 0 else ubp[e]) + dirn * t,
+                tableau, r, j, (0.0 if dirn > 0 else ubp[e]) + dirn * t,
                 _LOWER if t_low[r] <= t_up[r] else _UPPER,
             )
             # Devex weight propagation onto the reference framework, which
@@ -503,16 +482,7 @@ class SimplexSolver:
 
     @staticmethod
     def _dual_iterate(
-        T: np.ndarray,
-        nb: np.ndarray,
-        val: np.ndarray,
-        basis: np.ndarray,
-        vstat: np.ndarray,
-        ubp: np.ndarray,
-        d: np.ndarray,
-        max_iterations: int,
-        iterations: int,
-        deadline: float | None,
+        tableau: _Tableau, max_iterations: int, iterations: int, deadline: float | None
     ) -> tuple[str, int]:
         """Bounded dual simplex from a dual feasible basis.
 
@@ -520,6 +490,7 @@ class SimplexSolver:
         basic value no nonbasic can move back towards its bound.  Of tied
         slots, the one holding the lowest column enters.
         """
+        T, nb, val, basis, vstat, ubp, d, _ = tableau
         degenerate = 0
         while True:
             ub_basic = ubp[basis]
@@ -562,8 +533,7 @@ class SimplexSolver:
             t = (val[r] - target) / alpha[j]  # change of y_e
             val -= t * T[:, j]
             _pivot(
-                T, nb, val, basis, vstat, d, r, j,
-                (ubp[e] if vstat[e] == _UPPER else 0.0) + t,
+                tableau, r, j, (ubp[e] if vstat[e] == _UPPER else 0.0) + t,
                 _LOWER if to_lower else _UPPER,
             )
 
@@ -579,16 +549,7 @@ def _lowest(slots: np.ndarray, nb: np.ndarray, key: np.ndarray | None) -> int:
 
 
 def _pivot(
-    T: np.ndarray,
-    nb: np.ndarray,
-    val: np.ndarray,
-    basis: np.ndarray,
-    vstat: np.ndarray,
-    d: np.ndarray,
-    r: int,
-    j: int,
-    entering_val: float,
-    leaving_status: int,
+    tableau: _Tableau, r: int, j: int, entering_val: float, leaving_status: int
 ) -> np.ndarray:
     """Slot j's column enters the basis in row r and the leaving variable
     takes slot j; returns the new pivot row.
@@ -599,6 +560,7 @@ def _pivot(
     -col * (1 / piv) with 1 / piv in row r; it is written so, with the same
     floating-point operations.
     """
+    T, nb, val, basis, vstat, _, d, _ = tableau
     leaving = basis[r]
     vstat[leaving] = leaving_status
     vstat[nb[j]] = _BASIC

@@ -33,7 +33,6 @@ from itertools import compress
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .allocation import Outcome, envy_free_allocation
 from .core import Instance, Pricing
@@ -214,16 +213,9 @@ def _setup(model: MipModel) -> _Setup:
     fixed, rows = _presolve(c, A, model.senses, b, lb, ub, model.integer)
     fixed_x = np.where(fixed, lb, 0.0)
     columns = np.flatnonzero(~fixed)
-    # A's kept entries, counted up to the end of each kept row, give indptr
-    kept = np.repeat(rows, np.diff(A.indptr)) & ~fixed[A.indices]
-    counted = np.concatenate(([0], np.cumsum(kept)))[A.indptr]
-    indptr = counted[np.concatenate(([0], np.flatnonzero(rows) + 1))]
-    indices = (np.cumsum(~fixed) - 1)[A.indices[kept]]
-    reduced = sparse.csr_array(
-        (A.data[kept], indices, indptr), shape=(indptr.size - 1, columns.size)
-    )
     lp = SimplexSolver(
-        c[columns], reduced, list(compress(model.senses, rows)), (b - A @ fixed_x)[rows],
+        c[columns], A[np.flatnonzero(rows)][:, columns],
+        list(compress(model.senses, rows)), (b - A @ fixed_x)[rows],
         lb[columns], ub[columns],
     )
     start, binaries = np.isin(columns, model.prices), np.flatnonzero(model.integer[columns])

@@ -59,24 +59,39 @@ def test_round_trip_generated_instances():
         assert parse_instance(serialize_instance(inst)).isclose(inst, tol=1e-9)
 
 
+# (text, fragment, line at fault, the edge in file indices); ids keep the
+# "text-fragment" form
+_MALFORMED = [
+    ("", "empty", 1, None),
+    ("EFP 2\nitems 1\nbidders 1\n", "header", 1, None),
+    ("EFP 1\nbidders 1\n", "items", 2, None),
+    ("EFP 1\nitems 1\nbidders 0\n", "below 1", 3, None),
+    ("EFP 1\nitems 1\nbidders 1\nedge 0 1 4\n", "1-based", 4, None),
+    ("EFP 1\nitems 1\nbidders 1\nedge 1 1 4 junk\n", "edge", 4, None),
+    ("EFP 1\nitems 1\nbidders 1\nwhat 1 1 4\n", "edge", 4, None),
+    ("EFP 1\nitems 1\nbidders 1\nedge 1 1 -4\n", "positive", 4, "item 1, bidder 1"),
+    ("EFP 1\nitems 1\nbidders 2\nedge 1 1 4\nedge 1 2 inf\n", "finite", 5,
+     "item 1, bidder 2"),
+    ("EFP 1\nitems 1\nbidders 1\nedge 1 1 4\nedge 1 1 4\n", "duplicate", 5,
+     "item 1, bidder 1"),
+    ("EFP 1\nitems 2\nbidders 3\nedge 2 3 4\nedge 1 1 4\nedge 2 3 5\n", "duplicate",
+     6, "item 2, bidder 3"),
+    ("EFP 1\nitems 1\nbidders 1\nedge 2 1 4\n", "outside", 4, "edge (2, 1)"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("", "empty"),
-        ("EFP 2\nitems 1\nbidders 1\n", "header"),
-        ("EFP 1\nbidders 1\n", "items"),
-        ("EFP 1\nitems 1\nbidders 1\nedge 0 1 4\n", "1-based"),
-        ("EFP 1\nitems 1\nbidders 1\nedge 1 1 4 junk\n", "edge"),
-        ("EFP 1\nitems 1\nbidders 1\nwhat 1 1 4\n", "edge"),
-        ("EFP 1\nitems 1\nbidders 1\nedge 1 1 -4\n", "positive"),
-        ("EFP 1\nitems 1\nbidders 1\nedge 1 1 4\nedge 1 1 4\n", "duplicate"),
-        ("EFP 1\nitems 1\nbidders 1\nedge 2 1 4\n", "outside"),
-    ],
+    "text,fragment,line_no,edge",
+    [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _MALFORMED],
 )
-def test_malformed_documents_rejected(text, fragment):
+def test_malformed_documents_rejected(text, fragment, line_no, edge):
     with pytest.raises(FormatError) as err:
         parse_instance(text)
     assert fragment in str(err.value)
+    assert err.value.line_no == line_no
+    assert str(err.value).startswith(f"line {line_no}: ")
+    if edge is not None:
+        assert edge in str(err.value)
 
 
 def test_save_and_load(tmp_path, fig1):

@@ -657,6 +657,53 @@ def test_rejected_warm_point_is_refactored(monkeypatch):
     assert child.iterations == sum(result.iterations for result in warm_results)
 
 
+def test_confirmed_warm_infeasible_is_checked_and_retried(monkeypatch):
+    # a warm child wrongly ending "infeasible" falls through to its cold
+    # confirmation; that point is rejected once, and the retry from the
+    # confirmation's basis closes the solve with every run's pivots counted
+    model = build(make_fig1(), FormulationKind.U)
+    lp, prices, int_idx, _ = _lp(model)
+    root = lp.solve(start_at_upper=prices)
+    j = _fractional(root.x, int_idx)[0]
+    cold = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices)
+    child0 = lp.solve(*_fixed(lp, j, 0.0), start_at_upper=prices, keep_tableau=True)
+
+    warm_starts, warm_results, confirmations, checks = [], [], [], []
+    feasible, resolve, solve = (
+        SimplexSolver._feasible, SimplexSolver._resolve, SimplexSolver._solve
+    )
+
+    def reject_first_point(self, *args):
+        checks.append(None)
+        return len(checks) > 1 and feasible(self, *args)
+
+    def spy_resolve(self, start, *args):
+        warm_starts.append(start)
+        warm_results.append(resolve(self, start, *args))
+        if len(warm_results) == 1:
+            return replace(warm_results[0], status="infeasible", tableau=None)
+        return warm_results[-1]
+
+    def spy_solve(self, *args):
+        confirmations.append(solve(self, *args))
+        return confirmations[-1]
+
+    monkeypatch.setattr(SimplexSolver, "_feasible", reject_first_point)
+    monkeypatch.setattr(SimplexSolver, "_resolve", spy_resolve)
+    monkeypatch.setattr(SimplexSolver, "_solve", spy_solve)
+    child = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices, start_from=child0)
+    assert child.status == cold.status == "optimal"
+    assert child.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert len(confirmations) == 1 and len(checks) == 2
+    assert warm_starts[0] is child0
+    assert warm_starts[1].basis is confirmations[0].basis
+    warm, confirmation, retry = warm_results[0], confirmations[0], warm_results[1]
+    assert warm.iterations and confirmation.iterations
+    assert child.iterations == (
+        warm.iterations + confirmation.iterations + retry.iterations
+    )
+
+
 def test_deadline_stops_the_lp():
     model = build(make_fig1(), FormulationKind.U)
     lp, prices, int_idx, _ = _lp(model)
