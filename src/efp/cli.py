@@ -4,7 +4,7 @@ Exit codes: 0 on success, 1 on usage or input errors, 2 when an internal
 invariant is violated (a relaxation-ordering breach or a rounding ratio below
 its guaranteed factor, both of which signal a bug rather than bad input).
 The environment variable EFP_LOG (error, info or debug) controls diagnostic
-verbosity.
+verbosity; at debug, branch-and-bound names each LP's and each node's fate.
 """
 
 from __future__ import annotations
@@ -226,6 +226,8 @@ def cmd_relax(args) -> int:
 
 
 def cmd_round(args) -> int:
+    # the factor checks eps before a solve can spend the whole time limit
+    factor = guarantee_factor(args.eps, half_rounding=args.eps == 1.0)
     inst = _load(args.instance)
     # the flags are checked even when --prices leaves them unused
     _check_limits(args.time_limit, None, args.tolerance)
@@ -255,10 +257,8 @@ def cmd_round(args) -> int:
         print(f"using solved pricing (status {result.status})")
     if args.eps == 1.0:
         rounded = round_pricing_half(inst, pricing)
-        factor = guarantee_factor(1.0, half_rounding=True)
     else:
         rounded = round_pricing_eps(inst, pricing, args.eps)
-        factor = guarantee_factor(args.eps)
     sol_p = profit(inst, pricing)
     sol_r = profit(inst, rounded)
     ratio = sol_r / sol_p if sol_p > 0 else 1.0

@@ -14,7 +14,7 @@ through the file format.  Cross-language bit-reproducibility is a non-goal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -81,6 +81,15 @@ def _positive_valuation(rng: SeededRng, market_price: float, deviation: float) -
             return v
 
 
+def _check_finite(config) -> None:
+    """Reject a NaN or infinite float field: it would reach the valuations,
+    where a NaN market price makes _positive_valuation redraw forever."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if field.type in ("float", float) and not math.isfinite(value):
+            raise InvalidConfigError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CharacteristicsConfig:
     """Items carry option profiles; a bidder wants every characteristic matched."""
@@ -95,6 +104,7 @@ class CharacteristicsConfig:
     d: float
 
     def validate(self) -> None:
+        _check_finite(self)
         if self.m < 1 or self.n < 1:
             raise InvalidConfigError("m and n must be positive")
         if self.c < 1:
@@ -118,6 +128,7 @@ class NeighborhoodConfig:
     M: float
 
     def validate(self) -> None:
+        _check_finite(self)
         if self.m < 1 or self.n < 1:
             raise InvalidConfigError("m and n must be positive")
         # the unit square's diameter caps any useful radius; r = 0 is allowed
@@ -141,6 +152,7 @@ class PopularityConfig:
     d: float
 
     def validate(self) -> None:
+        _check_finite(self)
         if self.m < 1 or self.n < 1:
             raise InvalidConfigError("m and n must be positive")
         if self.e < 0:

@@ -8,18 +8,21 @@ every branch-and-bound node; every x it returns, and every objective, is
 mapped back to the model's full length.  solve_lp evaluates a model's linear
 relaxation.
 solve_mip runs best-bound branch-and-bound on the binary assignment
-variables; primal_heuristic turns every node's fractional prices into the
-greedy envy-free allocation, which is always feasible, so the incumbent can
-improve at every node.  Every open node keeps its LP's optimal basis.  Of the
-two children of a node, x_j = 0 starts from that basis, factorised afresh,
-and x_j = 1 from its sibling's final tableau (from the node's basis too if
-the sibling left none); the simplex's dual re-solve takes each from there.
-Only the root LP is solved cold.  An LP counts as optimal only after its
-point passes the simplex's row and bound check; otherwise it is "numerical"
-and its bound is not trusted.  The time limit is a deadline inside every LP
-as well as between nodes.  compare_relaxations evaluates all five
-relaxations of an instance and flags any breach of the proven ordering
-LR_I <= LR_STM and LR_I <= LR_L <= LR_P <= LR_U as a solver bug.
+variables.  Every LP, the root included, passes through one node step:
+primal_heuristic turns its fractional prices into the greedy envy-free
+allocation, which is always feasible, so the incumbent can improve at every
+LP; then the LP is closed (infeasible, failed, or bounded by the cutoff) or
+kept open.  The search returns from one block after its loop, the infeasible
+root included.  Every open node keeps its LP's optimal basis.  Of the two
+children of a node, x_j = 0 starts from that basis, factorised afresh, and
+x_j = 1 from its sibling's final tableau (from the node's basis too if the
+sibling left none); the simplex's dual re-solve takes each from there.  Only
+the root LP is solved cold.  An LP counts as optimal only after its point
+passes the simplex's row and bound check; otherwise it is "numerical" and
+its bound is not trusted.  The time limit is a deadline inside every LP as
+well as between nodes.  compare_relaxations evaluates all five relaxations
+of an instance and flags any breach of the proven ordering LR_I <= LR_STM
+and LR_I <= LR_L <= LR_P <= LR_U as a solver bug.
 """
 
 from __future__ import annotations
@@ -282,6 +285,17 @@ def solve_mip(
 ) -> MipResult:
     """Best-bound branch-and-bound over the binary assignment variables.
 
+    Every LP, the root included, passes through one node step: its point,
+    if any, gives a candidate incumbent through primal_heuristic (the first
+    is kept, then any strictly better one), and an optimal LP whose bound
+    exceeds the cutoff, incumbent + gap_tolerance * max(1, |incumbent|), is
+    kept open; every other LP is closed.  One that ends "numerical" or at
+    the iteration limit has no trusted bound, so it is closed with a warning
+    and the search is no longer exhaustive.  A popped node branches on its
+    most fractional binary, or is dropped if integral.  The search returns
+    from one block after its loop: status "infeasible" with NaNs when no LP
+    had a point.
+
     Limits never fail the solve: hitting one reports status "feasible" with
     the incumbent found so far and the honest remaining bound.  A node LP
     cut short by the time limit puts its node back among the open ones, so
@@ -293,39 +307,50 @@ def solve_mip(
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
     s = _setup(model)
-    lp = s.lp
-
-    root = lp.solve(start_at_upper=s.start, deadline=deadline)
-    root_seconds = time.perf_counter() - start
-    nodes = 1
-    if root.status == "infeasible":
-        wall = time.perf_counter() - start
-        return MipResult(
-            "infeasible", None, math.nan, math.nan, math.nan, nodes, wall,
-            math.nan, root_seconds,
-        )
-    if root.status == "unbounded":
-        raise RuntimeError("pricing formulations are bounded; unbounded LP is a bug")
-
-    # a node LP that fails (numerically, or at the iteration limit) has no
-    # valid bound; if that ever happens the affected subtree is dropped and
-    # the final status downgraded
-    searched_exhaustively = root.status == "optimal"
-    incumbent = primal_heuristic(inst, s.full(root.x)[model.prices])
-    inc_val = incumbent.profit
-
-    # each open node: -bound, a tie-break counter, its bounds and its LP
-    counter = 0
+    incumbent: Optional[Outcome] = None
+    inc_val = -math.inf
+    exhaustive = True
+    nodes = 0
+    # each open node: -bound, its LP's number (the tie-break), its bounds and its LP
     open_nodes: list[tuple[float, int, np.ndarray, np.ndarray, SimplexResult]] = []
 
     def scale() -> float:
         return max(1.0, abs(inc_val))
 
-    if searched_exhaustively and _branch_variable(root.x, s.binaries) is not None:
-        heapq.heappush(
-            open_nodes, (-(root.objective + s.offset), counter, lp.lb, lp.ub, root)
-        )
+    def cutoff() -> float:
+        return inc_val + gap_tolerance * scale()
 
+    def visit(res: SimplexResult, lb: np.ndarray, ub: np.ndarray) -> bool:
+        """The node step for one LP; True if the time limit cut it short."""
+        nonlocal incumbent, inc_val, exhaustive, nodes
+        nodes += 1
+        if res.status == "unbounded":
+            raise RuntimeError("pricing formulations are bounded; unbounded LP is a bug")
+        if res.x is not None:
+            candidate = primal_heuristic(inst, s.full(res.x)[model.prices])
+            if candidate.profit > inc_val:
+                incumbent, inc_val = candidate, candidate.profit
+        if res.status == "optimal":
+            bound, limit = res.objective + s.offset, cutoff()
+            if bound > limit:
+                heapq.heappush(open_nodes, (-bound, nodes, lb, ub, res))
+                log.debug("LP %d kept open at bound %.9g", nodes, bound)
+            else:
+                log.debug("LP %d closed by bound %.9g <= cutoff %.9g", nodes, bound, limit)
+        elif res.status == "infeasible":
+            log.debug("LP %d infeasible", nodes)
+        elif res.status == "time-limit":
+            log.debug("LP %d cut short by the time limit", nodes)
+            return True
+        else:
+            log.warning("LP %d ended with status %s", nodes, res.status)
+            exhaustive = False
+        return False
+
+    root = s.lp.solve(start_at_upper=s.start, deadline=deadline)
+    root_seconds = time.perf_counter() - start
+    if visit(root, s.lp.lb, s.lp.ub):
+        exhaustive = False  # a root LP cut short leaves no bound to fall back on
     cut_short = False
     while open_nodes and not cut_short:
         if deadline is not None and time.perf_counter() > deadline:
@@ -333,13 +358,15 @@ def solve_mip(
         if node_limit is not None and nodes >= node_limit:
             break
         popped = heapq.heappop(open_nodes)
-        neg_bound, _, node_lb, node_ub, node = popped
-        if -neg_bound <= inc_val + gap_tolerance * scale():
+        neg_bound, number, node_lb, node_ub, node = popped
+        if -neg_bound <= cutoff():
             open_nodes.clear()
             break
         branch = _branch_variable(node.x, s.binaries)
         if branch is None:
+            log.debug("node of LP %d is integral", number)
             continue
+        log.debug("node of LP %d branches on %s", number, model.names[s.columns[branch]])
         # child 0 starts from the node's basis; child 1 re-solves child 0's
         # final tableau in place, or the node's basis if child 0 left none
         warm = node
@@ -348,45 +375,28 @@ def solve_mip(
             child_ub = node_ub.copy()
             child_lb[branch] = fixed
             child_ub[branch] = fixed
-            child = lp.solve(
+            child = s.lp.solve(
                 child_lb, child_ub, start_at_upper=s.start, deadline=deadline,
                 start_from=warm, keep_tableau=fixed == 0.0,
             )
             if child.tableau is not None:
                 warm = child
-            nodes += 1
-            if child.status == "infeasible":
-                continue
-            if child.status == "time-limit":
+            if visit(child, child_lb, child_ub):
                 # the node's own bound still covers both children
                 heapq.heappush(open_nodes, popped)
                 cut_short = True
                 break
-            if child.status != "optimal":
-                log.warning("node LP ended with status %s", child.status)
-                searched_exhaustively = False
-                continue
-            candidate = primal_heuristic(inst, s.full(child.x)[model.prices])
-            if candidate.profit > inc_val:
-                incumbent, inc_val = candidate, candidate.profit
-            child_bound = child.objective + s.offset
-            if child_bound > inc_val + gap_tolerance * scale():
-                counter += 1
-                heapq.heappush(
-                    open_nodes, (-child_bound, counter, child_lb, child_ub, child)
-                )
 
-    open_best = max((-entry[0] for entry in open_nodes), default=-math.inf)
-    if not searched_exhaustively:
-        open_best = math.inf
-    bound = max(inc_val, open_best)
-    gap = max(0.0, (bound - inc_val) / scale())
-    status = "optimal" if gap <= gap_tolerance else "feasible"
     wall = time.perf_counter() - start
     # a root LP cut short reached some point, not the relaxation's optimum
-    root_relaxation = math.nan
-    if root.status == "optimal":
-        root_relaxation = root.objective + s.offset
+    root_relaxation = root.objective + s.offset if root.status == "optimal" else math.nan
+    if incumbent is None:  # no LP had a point: the root LP is infeasible
+        status, inc_val, bound, gap = "infeasible", math.nan, math.nan, math.nan
+    else:
+        open_best = max((-entry[0] for entry in open_nodes), default=-math.inf)
+        bound = max(inc_val, open_best if exhaustive else math.inf)
+        gap = max(0.0, (bound - inc_val) / scale())
+        status = "optimal" if gap <= gap_tolerance else "feasible"
     return MipResult(
         status, incumbent, inc_val, bound, gap, nodes, wall,
         root_relaxation, root_seconds,

@@ -215,6 +215,22 @@ def test_round_dimension_mismatch(fig1_path):
         ["generate", "--model", "popularity", "--n", "4", "--time-limit", "5",
          "--output", "{out}"],
         ["solve", "{inf_edge}"],
+        ["generate", "--model", "characteristics", "--n", "5", "--set", "ell=nan",
+         "--output", "{out}"],
+        ["generate", "--model", "characteristics", "--n", "5", "--set", "ell=-inf",
+         "--output", "{out}"],
+        ["generate", "--model", "characteristics", "--n", "5", "--set", "h=inf",
+         "--output", "{out}"],
+        ["generate", "--model", "characteristics", "--n", "5", "--set", "d=inf",
+         "--output", "{out}"],
+        ["generate", "--model", "neighborhood", "--n", "5", "--set", "h=nan",
+         "--output", "{out}"],
+        ["generate", "--model", "neighborhood", "--n", "5", "--set", "M=inf",
+         "--output", "{out}"],
+        ["generate", "--model", "popularity", "--n", "8", "--set", "Q=inf",
+         "--output", "{out}"],
+        ["generate", "--model", "popularity", "--n", "8", "--set", "d=inf",
+         "--output", "{out}"],
     ],
     ids=["n1", "edge-budget", "sizes1", "eps2", "eps0", "negative-price",
          "nan-price", "no-edges", "oracle-too-large", "tolerance-nan",
@@ -222,7 +238,9 @@ def test_round_dimension_mismatch(fig1_path):
          "node-limit-0", "round-tolerance-nan", "round-prices-tolerance-nan",
          "round-prices-time-limit-negative", "benchmark-tolerance-nan",
          "seeds0", "budget-negative", "oracle-dead-flag", "generate-dead-flag",
-         "inf-valuation"],
+         "inf-valuation", "characteristics-ell-nan", "characteristics-ell-minus-inf",
+         "characteristics-h-inf", "characteristics-d-inf", "neighborhood-h-nan",
+         "neighborhood-M-inf", "popularity-Q-inf", "popularity-d-inf"],
 )
 def test_input_errors_exit_1(args, fig1_path, tmp_path, capsys):
     no_edges = tmp_path / "no_edges.efp"
@@ -244,6 +262,24 @@ def test_round_violation_exit_code(fig1_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "guarantee_factor", lambda eps, **kw: 0.99)
     assert main(["round", fig1_path, "--prices", "6,6,3", "--eps", "1"]) == 2
+
+
+def test_round_checks_eps_before_solving(tmp_path, monkeypatch, capsys):
+    import efp.cli as cli_mod
+
+    path = str(tmp_path / "pop12.efp")
+    assert main(["generate", "--model", "popularity", "--n", "12", "--seed", "0",
+                 "--output", path]) == 0
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("round solved before checking --eps")
+
+    monkeypatch.setattr(cli_mod, "solve_mip", no_solve)
+    capsys.readouterr()
+    assert main(["round", path, "--eps", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert "using solved pricing" not in out
+    assert "eps must lie in (0, 1]" in err
 
 
 def test_oracle_output(fig1_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -90,6 +91,29 @@ def test_neighborhood_zero_radius_gives_empty_graph():
 def test_neighborhood_config_validation(kwargs):
     with pytest.raises(InvalidConfigError):
         gen_neighborhood(NeighborhoodConfig(**kwargs), seed=0)
+
+
+@pytest.mark.parametrize(
+    "model, field, value",
+    [
+        ("characteristics", "ell", math.nan),
+        ("characteristics", "ell", -math.inf),
+        ("characteristics", "h", math.inf),
+        ("characteristics", "d", math.inf),
+        ("neighborhood", "h", math.nan),
+        ("neighborhood", "M", math.inf),
+        ("neighborhood", "r", math.nan),
+        ("popularity", "Q", math.inf),
+        ("popularity", "d", math.inf),
+        ("popularity", "d", math.nan),
+    ],
+)
+def test_config_rejects_non_finite_floats(model, field, value):
+    # validate() alone, as a NaN market price would make the generator's
+    # valuation draw loop forever
+    config = dataclasses.replace(preset(model, 8), **{field: value})
+    with pytest.raises(InvalidConfigError, match=f"{field} must be finite"):
+        config.validate()
 
 
 class _ScriptedRng:

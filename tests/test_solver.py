@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import time
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from efp import solver
+from efp.allocation import is_envy_free
 from efp.benchmark import run_benchmark
 from efp.core import validate_instance
 from efp.formulations import ALL_KINDS, FormulationKind, build, constraint_violations
@@ -228,6 +230,49 @@ def test_deadline_inside_a_node_lp_keeps_a_finite_bound(monkeypatch, caplog, fir
     assert result.bound >= optimum - 1e-6
     assert result.status == "feasible"
     assert not caplog.records
+
+
+@pytest.mark.parametrize("failing_lp", [1, 2, 3], ids=["root", "lp2", "lp3"])
+def test_a_failed_lp_drops_the_bound_and_keeps_the_incumbent(
+    monkeypatch, caplog, fig1, failing_lp
+):
+    # fig1's U search solves five LPs; the chosen one is relabelled
+    # "numerical" with its point kept, as a failed residual check leaves it
+    solve = solver.SimplexSolver.solve
+    calls = []
+
+    def fail_the_chosen_lp(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        calls.append(result.status)
+        if len(calls) == failing_lp:
+            return dataclasses.replace(result, status="numerical", tableau=None, basis=None)
+        return result
+
+    monkeypatch.setattr(solver.SimplexSolver, "solve", fail_the_chosen_lp)
+    with caplog.at_level(logging.WARNING, logger="efp.solver"):
+        result = solve_mip(build(fig1, FormulationKind.U), fig1)
+    assert len(calls) >= failing_lp
+    assert result.status == "feasible"
+    assert result.bound == math.inf
+    outcome = result.incumbent
+    assert is_envy_free(fig1, outcome.pricing, outcome.allocation)[0]
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "numerical" in caplog.records[0].getMessage()
+    assert math.isnan(result.root_relaxation) == (failing_lp == 1)
+
+
+def test_debug_log_names_each_lps_fate(caplog, fig1):
+    with caplog.at_level(logging.DEBUG, logger="efp.solver"):
+        result = solve_mip(build(fig1, FormulationKind.U), fig1)
+    assert result.status == "optimal"
+    fates = [r.getMessage() for r in caplog.records if r.getMessage().startswith("LP ")]
+    assert len(fates) == result.nodes == 5
+    # one record per LP, numbered in solve order
+    assert [int(msg.split()[1]) for msg in fates] == list(range(1, result.nodes + 1))
+    assert fates[0].startswith("LP 1 kept open at bound 22.0952")
+    assert any("closed by bound" in msg and "cutoff" in msg for msg in fates)
+    pops = [r.getMessage() for r in caplog.records if r.getMessage().startswith("node ")]
+    assert pops[0] == "node of LP 1 branches on x_1_1"
 
 
 @pytest.mark.parametrize(
