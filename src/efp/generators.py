@@ -104,6 +104,13 @@ class CharacteristicsConfig:
     d: float
 
     def validate(self) -> None:
+        """Reject a config the generator cannot draw from.
+
+        Market values come from [ell, h] and must be positive, as the
+        preset's [1, 100] is: for a market price p > 0 each valuation draw,
+        1 + Gaussian(p, (p * d)^2), is positive with probability above 1/2,
+        while a large negative p makes _positive_valuation redraw for ever.
+        """
         _check_finite(self)
         if self.m < 1 or self.n < 1:
             raise InvalidConfigError("m and n must be positive")
@@ -113,6 +120,8 @@ class CharacteristicsConfig:
             raise InvalidConfigError("preferred options must satisfy 1 <= p_pref <= o")
         if self.ell > self.h:
             raise InvalidConfigError("market value interval needs ell <= h")
+        if not self.ell > 0:
+            raise InvalidConfigError("market values need ell > 0")
         if not self.d > 0:
             raise InvalidConfigError("deviation fraction must be positive")
 

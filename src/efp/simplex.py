@@ -61,6 +61,18 @@ floating-point operations a full-tableau update would apply to it.  Slots
 are not in column order, so every tie among entering candidates goes to the
 slot holding the lowest column, as on the full tableau; the pivot sequence
 and every value are those of the full tableau.
+
+Each loop keeps the state it reads at every iteration rather than gathering
+it from the tableau again (_loop_state).  Per slot it keeps a sign, the way
+the slot's nonbasic can move off its bound: +1 at its lower bound, -1 at
+its upper bound, 0 when it is fixed.  The primal improving test is then one
+product, sgn * d > OPTIMALITY_TOL, and the dual loop's eligible slots are
+those where alpha * sgn points the right way.  Per row it keeps the upper
+bound of the row's basic, and the primal loop also which of those bounds
+are finite.  A bound flip changes one slot's sign; a pivot changes slot j's
+sign, for the leaving variable, and row r's bound, for the entering one.
+The state only saves work: every choice, and so every pivot, is the one
+the loops made when they gathered it afresh at every iteration.
 """
 
 from __future__ import annotations
@@ -140,6 +152,8 @@ class SimplexSolver:
         self.row_sign = np.where(kind == ">=", -1.0, 1.0)
         self.b = self.row_sign * np.asarray(b, dtype=float)
         self._le = kind != "="
+        # the rows' residual bound, RESIDUAL_TOL * max(1, |rhs|), for _feasible
+        self._row_tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(self.b))
         self.senses = np.where(self._le, "<=", "=").tolist()
         self.lb = np.asarray(lb, dtype=float)
         self.ub = np.asarray(ub, dtype=float)
@@ -212,7 +226,7 @@ class SimplexSolver:
         excess = self.row_sign * (self.A @ x) - self.b
         excess = np.where(self._le, excess, np.abs(excess))
         return bool(
-            np.all(excess <= RESIDUAL_TOL * np.maximum(1.0, np.abs(self.b)))
+            np.all(excess <= self._row_tol)
             and np.all(x >= lob - RESIDUAL_TOL * np.maximum(1.0, np.abs(lob)))
             and np.all(x <= upb + RESIDUAL_TOL * np.maximum(1.0, np.abs(upb)))
         )
@@ -405,44 +419,46 @@ class SimplexSolver:
     ) -> tuple[str, int]:
         """Primal simplex from a primal feasible basis.
 
-        Of tied slots, the one holding the lowest column enters.
+        Of tied slots, the one holding the lowest column enters.  The slot
+        signs and row bounds of _loop_state, and which row bounds are
+        finite, are kept up to date across pivots and bound flips.
         """
         T, nb, val, basis, vstat, ubp, d, _ = tableau
         m = T.shape[0]
+        sgn, ub_row = _loop_state(tableau)
+        finite = np.isfinite(ub_row)
+        t_row = np.empty(m)  # the ratio test's step per row
         degenerate = 0
         weight = np.ones(len(nb))  # Devex reference weights, per slot
         while True:
             bland = degenerate > BLAND_TRIGGER
-            stat = vstat[nb]
-            improving = (ubp[nb] > 0.0) & (
-                ((stat == _LOWER) & (d > OPTIMALITY_TOL))
-                | ((stat == _UPPER) & (d < -OPTIMALITY_TOL))
-            )
-            if not improving.any():
+            candidates = (sgn * d > OPTIMALITY_TOL).nonzero()[0]
+            if not candidates.size:
                 return "optimal", iterations
             if iterations >= max_iterations:
                 return "iteration-limit", iterations
             if deadline is not None and time.perf_counter() > deadline:
                 return "time-limit", iterations
             iterations += 1
-            candidates = np.flatnonzero(improving)
-            score = None if bland else d[candidates] ** 2 / weight[candidates]
-            j = _lowest(candidates, nb, score)
+            if bland or candidates.size == 1:
+                j = _lowest(candidates, nb, None)
+            else:
+                d_c = d[candidates]
+                j = _lowest(candidates, nb, d_c * d_c / weight[candidates])
             e = int(nb[j])
-            dirn = 1.0 if vstat[e] == _LOWER else -1.0
+            dirn = sgn[j]
             g = dirn * T[:, j]
 
             # ratio test: basics hitting their lower (0) or upper bound, and
-            # the entering variable hitting its own opposite bound
+            # the entering variable hitting its own opposite bound.  A row
+            # is either or neither, so both steps go to one buffer
             if m:
-                ub_basic = ubp[basis]
-                t_low = np.full(m, np.inf)
+                t_row.fill(np.inf)
                 down = g > PIVOT_TOL
-                t_low[down] = np.maximum(val[down], 0.0) / g[down]
-                t_up = np.full(m, np.inf)
-                up = (g < -PIVOT_TOL) & np.isfinite(ub_basic)
-                t_up[up] = np.maximum(ub_basic[up] - val[up], 0.0) / -g[up]
-                t_row = np.minimum(t_low, t_up)
+                np.divide(np.maximum(val, 0.0), g, out=t_row, where=down)
+                up = g < -PIVOT_TOL
+                up &= finite
+                np.divide(np.maximum(ub_row - val, 0.0), -g, out=t_row, where=up)
                 t_rows = float(t_row.min())
             else:
                 t_rows = np.inf
@@ -454,12 +470,15 @@ class SimplexSolver:
                 # bound flip: no basis change
                 val -= t_self * g
                 vstat[e] = _UPPER if vstat[e] == _LOWER else _LOWER
+                sgn[j] = -dirn
                 continue
             if np.isinf(t_rows):
                 return "unbounded", iterations
 
-            ties = np.flatnonzero(t_row <= t_rows + 1e-9)
-            if bland:
+            ties = (t_row <= t_rows + 1e-9).nonzero()[0]
+            if ties.size == 1:
+                r = int(ties[0])
+            elif bland:
                 r = int(ties[np.argmin(basis[ties])])
             else:
                 r = int(ties[np.argmax(np.abs(g[ties]))])
@@ -469,10 +488,12 @@ class SimplexSolver:
 
             val -= t * g
             piv = T[r, j]
+            # row r's step is finite, so its basic fell to 0 exactly when g[r] > 0
             row = _pivot(
                 tableau, r, j, (0.0 if dirn > 0 else ubp[e]) + dirn * t,
-                _LOWER if t_low[r] <= t_up[r] else _UPPER,
+                _LOWER if g[r] > 0.0 else _UPPER, sgn, ub_row,
             )
+            finite[r] = ub_row[r] < np.inf
             # Devex weight propagation onto the reference framework, which
             # Bland's rule never reads; slot j now holds the leaving variable
             if not bland:
@@ -488,15 +509,21 @@ class SimplexSolver:
 
         "optimal" here means primal feasible; "infeasible" means a row whose
         basic value no nonbasic can move back towards its bound.  Of tied
-        slots, the one holding the lowest column enters.
+        slots, the one holding the lowest column enters.  The slot signs and
+        row bounds of _loop_state are kept up to date across pivots.
         """
         T, nb, val, basis, vstat, ubp, d, _ = tableau
+        if not basis.size:
+            return "optimal", iterations
+        sgn, ub_row = _loop_state(tableau)
         degenerate = 0
         while True:
-            ub_basic = ubp[basis]
-            violation = np.maximum(-val, val - ub_basic)
-            rows = np.flatnonzero(violation > FEASIBILITY_TOL)
-            if not rows.size:
+            violation = np.maximum(-val, val - ub_row)
+            r = int(violation.argmax())
+            if violation[r] != violation[r]:  # argmax's pick is a NaN row,
+                violation[np.isnan(violation)] = -np.inf  # which never leaves
+                r = int(violation.argmax())
+            if not violation[r] > FEASIBILITY_TOL:
                 return "optimal", iterations
             if iterations >= max_iterations:
                 return "iteration-limit", iterations
@@ -505,19 +532,19 @@ class SimplexSolver:
             iterations += 1
             bland = degenerate > BLAND_TRIGGER
             if bland:
+                rows = (violation > FEASIBILITY_TOL).nonzero()[0]
                 r = int(rows[np.argmin(basis[rows])])
-            else:
-                r = int(rows[np.argmax(violation[rows])])
             to_lower = val[r] < 0.0
-            target = 0.0 if to_lower else float(ub_basic[r])
+            target = 0.0 if to_lower else float(ub_row[r])
 
             # a nonbasic y_k moving off its bound by t changes the row's basic
-            # by -alpha_k * dirn_k * t; it is eligible when that is the way
-            # the basic must go
+            # by -alpha_k * sgn_k * t; it is eligible when that is the way
+            # the basic must go.  A fixed slot's sign is 0, so it never is
             alpha = T[r]
-            dirn = np.where(vstat[nb] == _UPPER, -1.0, 1.0)
-            slope = alpha * dirn if to_lower else -alpha * dirn
-            eligible = np.flatnonzero((ubp[nb] > 0.0) & (slope < -PIVOT_TOL))
+            slope = alpha * sgn
+            eligible = (
+                slope < -PIVOT_TOL if to_lower else slope > PIVOT_TOL
+            ).nonzero()[0]
             if not eligible.size:
                 return "infeasible", iterations
             # dual ratio test: the least |d_k / alpha_k| keeps every reduced
@@ -525,7 +552,8 @@ class SimplexSolver:
             ratio = np.abs(d[eligible] / alpha[eligible])
             step = ratio.min()
             ties = eligible[ratio <= step + 1e-12]
-            j = _lowest(ties, nb, None if bland else np.abs(alpha[ties]))
+            key = None if bland or ties.size == 1 else np.abs(alpha[ties])
+            j = _lowest(ties, nb, key)
             e = int(nb[j])
             if step < DEGENERATE_STEP:
                 degenerate += 1
@@ -534,8 +562,21 @@ class SimplexSolver:
             val -= t * T[:, j]
             _pivot(
                 tableau, r, j, (ubp[e] if vstat[e] == _UPPER else 0.0) + t,
-                _LOWER if to_lower else _UPPER,
+                _LOWER if to_lower else _UPPER, sgn, ub_row,
             )
+
+
+def _loop_state(tableau: _Tableau) -> tuple[np.ndarray, np.ndarray]:
+    """The state both loops read at every iteration, kept across pivots.
+
+    Per slot, the way its nonbasic can move off its bound: +1 at its lower
+    bound, -1 at its upper bound, 0 when it is fixed (upper bound 0).  Per
+    row, the upper bound of its basic.  A bound flip changes one slot's
+    sign; a pivot changes slot j's sign and row r's bound (_pivot).
+    """
+    _, nb, _, basis, vstat, ubp, _, _ = tableau
+    sgn = np.where(ubp[nb] > 0.0, np.where(vstat[nb] == _UPPER, -1.0, 1.0), 0.0)
+    return sgn, ubp[basis]
 
 
 def _lowest(slots: np.ndarray, nb: np.ndarray, key: np.ndarray | None) -> int:
@@ -543,13 +584,21 @@ def _lowest(slots: np.ndarray, nb: np.ndarray, key: np.ndarray | None) -> int:
     slot holding the lowest column: np.argmax's pick over the columns in
     column order, a NaN key counting as the largest."""
     if key is not None:
-        top = key[np.argmax(key)]
-        slots = slots[np.isnan(key) if np.isnan(top) else key == top]
-    return int(slots[np.argmin(nb[slots])])
+        top = key[key.argmax()]
+        slots = slots[key == top if top == top else np.isnan(key)]
+    if slots.size == 1:
+        return int(slots[0])
+    return int(slots[nb[slots].argmin()])
 
 
 def _pivot(
-    tableau: _Tableau, r: int, j: int, entering_val: float, leaving_status: int
+    tableau: _Tableau,
+    r: int,
+    j: int,
+    entering_val: float,
+    leaving_status: int,
+    sgn: np.ndarray,
+    ub_row: np.ndarray,
 ) -> np.ndarray:
     """Slot j's column enters the basis in row r and the leaving variable
     takes slot j; returns the new pivot row.
@@ -558,15 +607,22 @@ def _pivot(
     rests at the bound given by leaving_status.  The leaving variable's
     column is the unit column e_r, so a full-tableau update would make it
     -col * (1 / piv) with 1 / piv in row r; it is written so, with the same
-    floating-point operations.
+    floating-point operations.  The loop's state follows: slot j takes the
+    leaving variable's sign and row r the entering variable's bound.
     """
-    T, nb, val, basis, vstat, _, d, _ = tableau
+    T, nb, val, basis, vstat, ubp, d, _ = tableau
     leaving = basis[r]
     vstat[leaving] = leaving_status
-    vstat[nb[j]] = _BASIC
-    basis[r] = nb[j]
+    entering = nb[j]
+    vstat[entering] = _BASIC
+    basis[r] = entering
     nb[j] = leaving
     val[r] = entering_val
+    if not ubp[leaving] > 0.0:
+        sgn[j] = 0.0
+    else:
+        sgn[j] = -1.0 if leaving_status == _UPPER else 1.0
+    ub_row[r] = ubp[entering]
     piv = T[r, j]
     row = T[r] / piv  # fresh contiguous array
     T[r] = row

@@ -223,6 +223,8 @@ def test_round_dimension_mismatch(fig1_path):
          "--output", "{out}"],
         ["generate", "--model", "characteristics", "--n", "5", "--set", "d=inf",
          "--output", "{out}"],
+        ["generate", "--model", "characteristics", "--n", "5", "--set", "ell=-1e9",
+         "--set", "h=-1e9", "--set", "d=0.001", "--output", "{out}"],
         ["generate", "--model", "neighborhood", "--n", "5", "--set", "h=nan",
          "--output", "{out}"],
         ["generate", "--model", "neighborhood", "--n", "5", "--set", "M=inf",
@@ -239,7 +241,8 @@ def test_round_dimension_mismatch(fig1_path):
          "round-prices-time-limit-negative", "benchmark-tolerance-nan",
          "seeds0", "budget-negative", "oracle-dead-flag", "generate-dead-flag",
          "inf-valuation", "characteristics-ell-nan", "characteristics-ell-minus-inf",
-         "characteristics-h-inf", "characteristics-d-inf", "neighborhood-h-nan",
+         "characteristics-h-inf", "characteristics-d-inf",
+         "characteristics-ell-negative", "neighborhood-h-nan",
          "neighborhood-M-inf", "popularity-Q-inf", "popularity-d-inf"],
 )
 def test_input_errors_exit_1(args, fig1_path, tmp_path, capsys):

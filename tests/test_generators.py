@@ -116,6 +116,15 @@ def test_config_rejects_non_finite_floats(model, field, value):
         config.validate()
 
 
+@pytest.mark.parametrize("ell, h", [(-1e9, -1e9), (0.0, 100.0), (-5.0, 100.0)])
+def test_characteristics_rejects_non_positive_market_values(ell, h):
+    # a market price of -1e9 with d = 0.001 needs a deviation of about 1000
+    # sigmas for a positive valuation, so the draw loop never ended
+    config = dataclasses.replace(preset("characteristics", 5), ell=ell, h=h, d=0.001)
+    with pytest.raises(InvalidConfigError, match="ell > 0"):
+        gen_characteristics(config, seed=0)
+
+
 class _ScriptedRng:
     def __init__(self, values):
         self._values = iter(values)

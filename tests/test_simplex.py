@@ -22,6 +22,7 @@ from efp.generators import generate, preset
 from efp.simplex import SimplexSolver
 from efp.solver import compare_relaxations, model_arrays, solve_lp, solve_mip
 
+import reference_simplex
 from conftest import make_fig1
 from reference_lp import reference_lp_optimum
 
@@ -581,6 +582,77 @@ def test_warm_child_matches_cold_on_random_markets(inst, kind):
         spy = _WarmSolves(monkeypatch)
         _check_warm_children(build(inst, kind), spy)
         assert spy.clean_up_pivots == 0
+
+
+def _copied(result):
+    """result with its kept tableau copied, each array in its own layout, so
+    that a second solve can take the copy over in place."""
+    if result is None or result.tableau is None:
+        return result
+    arrays = (a.copy(order="K") for a in result.tableau)
+    return replace(result, tableau=simplex._Tableau(*arrays))
+
+
+def _solve_twice(monkeypatch):
+    """Patch SimplexSolver.solve to solve every LP first with the reference
+    loops, on a copy of its start, then with the program's own; the two
+    must agree bit for bit.  Returns the statuses of the LPs compared."""
+    solve, compared = SimplexSolver.solve, []
+
+    def twin(lp, *args, start_from=None, **kwargs):
+        with pytest.MonkeyPatch.context() as loops:
+            for name in ("_iterate", "_dual_iterate"):
+                loops.setattr(
+                    SimplexSolver, name, staticmethod(getattr(reference_simplex, name))
+                )
+            want = solve(lp, *args, start_from=_copied(start_from), **kwargs)
+        got = solve(lp, *args, start_from=start_from, **kwargs)
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        for mine, theirs in ((got.x, want.x), (got.basis, want.basis)):
+            assert (mine is None) == (theirs is None)
+            assert mine is None or mine.tobytes() == theirs.tobytes()
+        compared.append(got.status)
+        return got
+
+    monkeypatch.setattr(SimplexSolver, "solve", twin)
+    return compared
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    inst=_small_markets(),
+    kind=st.sampled_from(ALL_KINDS),
+    price_bound=st.booleans(),
+    trigger=st.sampled_from([1000, -1]),
+)
+def test_pivot_loops_match_the_reference_loops(inst, kind, price_bound, trigger):
+    # every LP of a search, root and children, warm and cold, Devex and
+    # Bland's rule from the first pivot (trigger -1)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for module in (simplex, reference_simplex):
+            monkeypatch.setattr(module, "BLAND_TRIGGER", trigger)
+        compared = _solve_twice(monkeypatch)
+        solve_mip(build(inst, kind, price_bound=price_bound), inst)
+        assert compared
+
+
+def test_a_nan_row_never_leaves():
+    # the dual loop's leaving row is one argmax over the violations, which
+    # would pick a NaN; the loop must pass it over for the largest violation
+    lp = SimplexSolver(
+        np.ones(2), np.array([[1.0, 2.0], [-3.0, -1.0], [1.0, 1.0]]), ["<="] * 3,
+        np.array([4.0, 6.0, 3.0]), np.zeros(2), np.full(2, np.inf),
+    )
+    status = np.array([simplex._LOWER] * 2 + [simplex._BASIC] * 3, dtype=np.int8)
+    runs = []
+    for loop in (SimplexSolver._dual_iterate, reference_simplex._dual_iterate):
+        tableau = lp._refactor(status, lp.lb, np.full(2, np.inf))
+        tableau.val[:] = [np.nan, -2.0, -1.0]
+        runs.append((loop(tableau, 1, 0, None), [a.tobytes() for a in tableau]))
+        # row 1, the largest violation, left and x_1 entered
+        assert tableau.basis.tolist() == [2, 0, 4]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == ("iteration-limit", 1)
 
 
 def _fig1_assign_conflict():
