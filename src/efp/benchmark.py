@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -21,21 +21,6 @@ from .generators import generate, preset
 from .solver import MipResult, _check_limits, solve_mip
 
 log = logging.getLogger("efp.benchmark")
-
-BENCHMARK_COLUMNS = (
-    "instance",
-    "model",
-    "formulation",
-    "size",
-    "status",
-    "incumbent",
-    "bound",
-    "gap",
-    "nodes",
-    "wall_seconds",
-    "root_relaxation",
-    "root_seconds",
-)
 
 AGGREGATE_COLUMNS = (
     "model",
@@ -54,6 +39,8 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class BenchmarkRow:
+    """One solve; the fields in order are the CSV columns."""
+
     instance: str
     model: str
     formulation: str
@@ -68,20 +55,10 @@ class BenchmarkRow:
     root_seconds: float
 
     def as_csv(self) -> list[str]:
-        return [
-            self.instance,
-            self.model,
-            self.formulation,
-            self.size,
-            self.status,
-            _fmt(self.incumbent),
-            _fmt(self.bound),
-            _fmt(self.gap),
-            str(self.nodes),
-            _fmt(self.wall_seconds),
-            _fmt(self.root_relaxation),
-            _fmt(self.root_seconds),
-        ]
+        return [_fmt(v) if isinstance(v, float) else str(v) for v in astuple(self)]
+
+
+BENCHMARK_COLUMNS = tuple(f.name for f in fields(BenchmarkRow))
 
 
 def row_from_result(
@@ -104,11 +81,10 @@ def row_from_result(
 
 
 def write_rows(path: str | Path, rows: Iterable[BenchmarkRow], append: bool = False) -> None:
-    path = Path(path)
-    fresh = not (append and path.exists())
-    with path.open("a" if append else "w", newline="") as handle:
+    with Path(path).open("a" if append else "w", newline="") as handle:
         writer = csv.writer(handle)
-        if fresh:
+        # an append lands at the end: an empty or new file still needs a header
+        if handle.tell() == 0:
             writer.writerow(BENCHMARK_COLUMNS)
         for row in rows:
             writer.writerow(row.as_csv())
@@ -128,17 +104,8 @@ def aggregate(rows: Sequence[BenchmarkRow]) -> list[dict[str, str]]:
             _fmt(sum(r.gap for r in unsolved) / len(unsolved)) if unsolved else ""
         )
         mean_root = _fmt(sum(r.root_seconds for r in members) / len(members))
-        out.append(
-            {
-                "model": model,
-                "formulation": kind,
-                "size": size,
-                "instances": str(len(members)),
-                "solved": str(len(solved)),
-                "mean_gap_unsolved": mean_gap,
-                "mean_root_seconds": mean_root,
-            }
-        )
+        values = (model, kind, size, str(len(members)), str(len(solved)), mean_gap, mean_root)
+        out.append(dict(zip(AGGREGATE_COLUMNS, values)))
     return out
 
 
@@ -184,15 +151,9 @@ def run_benchmark(
                         time_limit=time_limit,
                         gap_tolerance=gap_tolerance,
                     )
-                    rows.append(row_from_result(instance_id, model, inst, kind, result))
                 except Exception:  # noqa: BLE001 - keep the sweep alive
                     log.exception("solve failed for %s %s", instance_id, kind.value)
-                    rows.append(
-                        BenchmarkRow(
-                            instance_id, model, kind.value,
-                            f"{inst.num_items}x{inst.num_bidders}", "error",
-                            float("nan"), float("nan"), float("nan"), 0, 0.0,
-                            float("nan"), 0.0,
-                        )
-                    )
+                    nan = float("nan")
+                    result = MipResult("error", None, nan, nan, nan, 0, 0.0, nan, 0.0)
+                rows.append(row_from_result(instance_id, model, inst, kind, result))
     return rows

@@ -1,8 +1,9 @@
 """Command-line surface: generate, solve, relax, round, oracle, benchmark.
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when an internal
-invariant is violated (a relaxation-ordering breach or a rounding ratio below
-its guaranteed factor, both of which signal a bug rather than bad input).
+invariant is violated (a relaxation-ordering breach, a rounding ratio below
+its guaranteed factor or a benchmark solve that raised, each of which signals
+a bug rather than bad input).
 The environment variable EFP_LOG (error, info or debug) controls diagnostic
 verbosity; at debug, branch-and-bound names each LP's and each node's fate.
 """
@@ -17,6 +18,7 @@ import sys
 from pathlib import Path
 
 from . import benchmark as bench
+from .benchmark import _fmt
 from .allocation import Outcome, TooLargeError, profit
 from .core import Instance, Pricing
 from .fileio import FormatError, load_instance, save_instance
@@ -62,10 +64,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
 
 
 def _configure_logging() -> None:
@@ -182,6 +180,15 @@ def cmd_solve(args) -> int:
 
 def cmd_relax(args) -> int:
     if args.find_strict:
+        unread = [
+            flag for flag, given in (
+                ("instance files", args.instances),
+                ("--output", args.output is not None),
+                ("--no-price-bound", args.no_price_bound),
+            ) if given
+        ]
+        if unread:
+            raise CliError(f"--find-strict takes no {', '.join(unread)}")
         if args.budget < 1:
             raise CliError(f"--budget must be at least 1, got {args.budget}")
         found = find_strict_instance(
@@ -192,12 +199,12 @@ def cmd_relax(args) -> int:
             return 0
         description, _, report = found
         print(f"strict {args.find_strict} instance: {description}")
-        for kind in ("STM", "I", "L", "P", "U"):
-            print(f"LR_{kind:3} = {_fmt(report.values[kind])}")
+        for kind, value in report.values.items():
+            print(f"LR_{kind:3} = {_fmt(value)}")
         return 0
     if not args.instances:
         raise CliError("relax needs instance files (or --find-strict)")
-    header = ["instance", "LR_STM", "LR_I", "LR_L", "LR_P", "LR_U", "violations"]
+    header = ["instance", *(f"LR_{kind.value}" for kind in ALL_KINDS), "violations"]
     out_rows = [header]
     yell = False
     for path in args.instances:
@@ -209,11 +216,7 @@ def cmd_relax(args) -> int:
         if report.violations:
             yell = True
             log.error("ordering violation on %s: %s", path, notes)
-        out_rows.append(
-            [Path(path).stem]
-            + [_fmt(report.values[k]) for k in ("STM", "I", "L", "P", "U")]
-            + [notes]
-        )
+        out_rows.append([Path(path).stem, *map(_fmt, report.values.values()), notes])
     text = "\n".join(",".join(row) for row in out_rows) + "\n"
     if args.output:
         Path(args.output).write_text(text)
@@ -286,8 +289,6 @@ def cmd_oracle(args) -> int:
 def cmd_benchmark(args) -> int:
     if args.output is None:
         raise CliError("benchmark needs --output <csv path>")
-    if args.model not in MODELS:
-        raise CliError(f"unknown model {args.model!r}")
     if args.seeds < 1:
         raise CliError(f"--seeds must be at least 1, got {args.seeds}")
     try:
@@ -311,6 +312,10 @@ def cmd_benchmark(args) -> int:
     solved = sum(1 for r in rows if r.status == "optimal")
     print(f"wrote {len(rows)} rows to {args.output} ({solved} solved to optimality)")
     print(f"wrote {len(aggregates)} aggregate rows to {agg_path}")
+    errors = sum(1 for r in rows if r.status == "error")
+    if errors:
+        print(f"{errors} of {len(rows)} solves raised an error: bug", file=sys.stderr)
+        return INVARIANT_ERROR
     return 0
 
 
@@ -390,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "benchmark", parents=[output, limits, price], help="sweep sizes and seeds"
     )
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--sizes", required=True, help="comma-separated instance sizes")
     p.add_argument("--seeds", type=int, default=5, help="seeds 0..k-1 (default 5)")
     p.add_argument("--formulations", default="all")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Instance, Pricing, derive_constants
+from .core import Instance, Pricing
 
 
 class NonPositiveApexError(ValueError):
@@ -37,7 +37,16 @@ class GeometricGrid:
             raise InvalidEpsilonError(f"grid ratio must exceed 1, got {self.ratio}")
 
     def element(self, k: int) -> float:
-        return self.apex / self.ratio**k
+        return _over_power(self.apex, self.ratio, k)
+
+
+def _over_power(d: float, ratio: float, k: int) -> float:
+    """d / ratio**k, divided by the power's two halves in turn where
+    ratio**k itself leaves the float range."""
+    try:
+        return d / ratio**k
+    except OverflowError:
+        return _over_power(_over_power(d, ratio, k // 2), ratio, k - k // 2)
 
 
 def floor_geometric(x: float, grid: GeometricGrid) -> float:
@@ -53,9 +62,10 @@ def floor_geometric(x: float, grid: GeometricGrid) -> float:
         return 0.0
     if x >= grid.apex:
         return grid.apex
-    r = math.ceil(math.log(grid.apex / x) / math.log(grid.ratio))
-    if r < 0:
-        r = 0
+    span = grid.apex / x
+    # for x below apex / DBL_MAX the quotient overflows; the logs do not
+    log_span = math.log(span) if span < math.inf else math.log(grid.apex) - math.log(x)
+    r = max(0, math.ceil(log_span / math.log(grid.ratio)))
     # +-1 correction absorbs floating-point error in the logarithms
     while grid.element(r) > x:
         r += 1
@@ -71,7 +81,7 @@ def _round_down(
 
     Zero prices stay zero; the grid needs a positive maximum valuation.
     """
-    apex = derive_constants(inst).global_max
+    apex = max(inst.valuations.values(), default=0.0)
     if not apex > 0:
         raise NonPositiveApexError("instance has no positive valuation to anchor the grid")
     grid = GeometricGrid(apex, ratio)

@@ -99,7 +99,11 @@ class RelaxationReport:
 
 
 def model_arrays(model: MipModel):
-    """The model's names and arrays with A dense, for reference solvers."""
+    """The model's names and arrays with A dense, for reference solvers.
+
+    Nothing in the library calls it.  It stays because perfbench's HiGHS
+    reference and tracer, and the tests' reference LP, read models through it.
+    """
     m = model
     return m.names, m.c, m.A.toarray(), m.senses, m.b, m.lb, m.ub, m.integer
 
@@ -225,10 +229,10 @@ def _setup(model: MipModel) -> _Setup:
     return _Setup(lp, start, binaries, columns, fixed_x, float(c @ fixed_x))
 
 
-def solve_lp(model: MipModel, *, max_iterations: int = 10**6) -> LpSolution:
+def solve_lp(model: MipModel) -> LpSolution:
     """Solve the linear relaxation of a model (integrality is ignored)."""
     s = _setup(model)
-    res = s.lp.solve(start_at_upper=s.start, max_iterations=max_iterations)
+    res = s.lp.solve(start_at_upper=s.start)
     x = None if res.x is None else s.full(res.x)
     return LpSolution(res.status, res.objective + s.offset, model.names, x, res.iterations)
 

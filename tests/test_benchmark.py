@@ -78,6 +78,10 @@ def test_csv_written_with_fixed_schema(tmp_path):
         assert row[4] == "optimal"
     write_rows(path, [_row()], append=True)
     assert len(path.read_text().splitlines()) == 3  # one header, two rows
+    path.write_text("")  # an append to an empty file still writes the header
+    write_rows(path, [_row()], append=True)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2 and lines[0] == ",".join(BENCHMARK_COLUMNS)
 
     agg = aggregate_path(path)
     assert agg.name == "bench.agg.csv"

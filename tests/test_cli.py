@@ -1,4 +1,5 @@
 import csv
+import math
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,12 @@ def test_round_solved_pricing(fig1_path, capsys):
     assert "using solved pricing" in capsys.readouterr().out
 
 
+def test_round_subnormal_price(fig1_path, capsys):
+    # 6 / (1e-310 / 1.5) overflows; the price floors onto the grid all the same
+    assert main(["round", fig1_path, "--prices", "1e-310,6,3", "--eps", "1"]) == 0
+    assert "rounded      " in capsys.readouterr().out
+
+
 def test_round_dimension_mismatch(fig1_path):
     assert main(["round", fig1_path, "--prices", "1,2"]) == 1
 
@@ -211,6 +218,9 @@ def test_round_dimension_mismatch(fig1_path):
         ["benchmark", "--model", "popularity", "--sizes", "4", "--seeds", "0",
          "--output", "{out}"],
         ["relax", "--find-strict", "i-stm", "--budget", "-1"],
+        ["relax", "--find-strict", "i-stm", "{fig1}"],
+        ["relax", "--find-strict", "i-stm", "--output", "{out}"],
+        ["relax", "--find-strict", "i-stm", "--no-price-bound"],
         ["oracle", "{fig1}", "--seed", "1"],
         ["generate", "--model", "popularity", "--n", "4", "--time-limit", "5",
          "--output", "{out}"],
@@ -239,7 +249,8 @@ def test_round_dimension_mismatch(fig1_path):
          "tolerance-negative", "time-limit-nan", "time-limit-negative",
          "node-limit-0", "round-tolerance-nan", "round-prices-tolerance-nan",
          "round-prices-time-limit-negative", "benchmark-tolerance-nan",
-         "seeds0", "budget-negative", "oracle-dead-flag", "generate-dead-flag",
+         "seeds0", "budget-negative", "find-strict-instance",
+         "find-strict-output", "find-strict-no-price-bound", "oracle-dead-flag", "generate-dead-flag",
          "inf-valuation", "characteristics-ell-nan", "characteristics-ell-minus-inf",
          "characteristics-h-inf", "characteristics-d-inf",
          "characteristics-ell-negative", "neighborhood-h-nan",
@@ -302,6 +313,32 @@ def test_benchmark_writes_rows_and_aggregates(tmp_path):
         rows = list(csv.DictReader(handle))
     assert {r["formulation"] for r in rows} == {"L", "U"}
     assert all(r["solved"] == "2" for r in rows)
+
+
+def test_benchmark_raising_solve_exits_2(tmp_path, monkeypatch, capsys):
+    import efp.benchmark as bench_mod
+
+    real_solve, calls = bench_mod.solve_mip, []
+
+    def solve_or_raise(model, inst, **kwargs):
+        calls.append(model)
+        if len(calls) == 1:  # L, the first of L,U
+            raise RuntimeError("solver bug")
+        return real_solve(model, inst, **kwargs)
+
+    monkeypatch.setattr(bench_mod, "solve_mip", solve_or_raise)
+    out = tmp_path / "bench.csv"
+    assert main(["benchmark", "--model", "popularity", "--sizes", "8", "--seeds",
+                 "1", "--formulations", "L,U", "--output", str(out)]) == 2
+    assert "1 of 2 solves raised an error" in capsys.readouterr().err
+    with out.open() as handle:
+        rows = {r["formulation"]: r for r in csv.DictReader(handle)}
+    assert rows["U"]["status"] == "optimal"
+    error = rows["L"]
+    assert error["status"] == "error"
+    assert all(math.isnan(float(error[key])) for key in ("incumbent", "bound", "gap"))
+    assert error["nodes"] == "0"
+    assert (tmp_path / "bench.agg.csv").exists()
 
 
 def test_benchmark_requires_known_model(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -60,6 +61,51 @@ def test_floor_lands_on_grid_members():
         k = math.log(grid.apex / d) / math.log(grid.ratio)
         assert abs(k - round(k)) <= 1e-9
         assert grid.element(round(k) - 1) > x or round(k) == 0
+
+
+def _floor_as_before(x, grid):
+    """floor_geometric as it was when it raised OverflowError wherever
+    apex / x or ratio**k overflowed: an oracle for every other x."""
+    if x == 0:
+        return 0.0
+    if x >= grid.apex:
+        return grid.apex
+    r = max(0, math.ceil(math.log(grid.apex / x) / math.log(grid.ratio)))
+    while grid.apex / grid.ratio**r > x:
+        r += 1
+    while r > 0 and grid.apex / grid.ratio ** (r - 1) <= x:
+        r -= 1
+    return grid.apex / grid.ratio**r
+
+
+def test_floor_keeps_the_bits_wherever_it_never_raised():
+    rng = SeededRng(11)
+    checked = 0
+    for apex, ratio in [(7.0, 2.0), (11.3, 1.25), (1e300, 1.5), (1e-300, 1.01),
+                        (3.0, 1.0 + 1e-9)]:
+        grid = GeometricGrid(apex, ratio)
+        xs = [apex * 10.0 ** (-300 * rng.uniform()) for _ in range(300)]
+        xs += [grid.element(k) for k in range(0, 3000, 7)]
+        for x in xs:
+            try:
+                before = _floor_as_before(x, grid)
+            except OverflowError:
+                continue
+            assert floor_geometric(x, grid).hex() == before.hex()
+            checked += 1
+    assert checked > 2000
+
+
+@pytest.mark.parametrize("apex", [7.0, 1e300, sys.float_info.max])
+@pytest.mark.parametrize("ratio", [2.0, 1.25, 1.01])
+def test_floor_takes_every_finite_value(apex, ratio):
+    # apex / x and ratio**k overflow here; the floor must not
+    grid = GeometricGrid(apex, ratio)
+    for x in (5e-324, 1e-310, sys.float_info.min, 1e-300, sys.float_info.max):
+        d = floor_geometric(x, grid)
+        assert 0.0 <= d <= x
+    # 6 / 2**1033 = 3 / 2**1032 <= 1e-310 < 6 / 2**1032, exact in subnormals
+    assert floor_geometric(1e-310, GeometricGrid(6.0, 2.0)) == math.ldexp(3.0, -1032)
 
 
 def test_round_half_worked_example(fig1):

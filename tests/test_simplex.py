@@ -111,10 +111,10 @@ def test_unbounded():
 
 
 def test_iteration_limit():
-    model = build(make_fig1(), "STM")
-    sol = solve_lp(model, max_iterations=1)
-    assert sol.status == "iteration-limit"
-    assert sol.iterations == 1
+    lp, start, _, _ = _lp(build(make_fig1(), "STM"))
+    res = lp.solve(start_at_upper=start, max_iterations=1)
+    assert res.status == "iteration-limit"
+    assert res.iterations == 1
 
 
 def test_fixed_variables_respected():
