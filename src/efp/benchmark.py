@@ -33,7 +33,7 @@ AGGREGATE_COLUMNS = (
 )
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
@@ -55,7 +55,7 @@ class BenchmarkRow:
     root_seconds: float
 
     def as_csv(self) -> list[str]:
-        return [_fmt(v) if isinstance(v, float) else str(v) for v in astuple(self)]
+        return [fmt(v) if isinstance(v, float) else str(v) for v in astuple(self)]
 
 
 BENCHMARK_COLUMNS = tuple(f.name for f in fields(BenchmarkRow))
@@ -101,9 +101,9 @@ def aggregate(rows: Sequence[BenchmarkRow]) -> list[dict[str, str]]:
         solved = [r for r in members if r.status == "optimal"]
         unsolved = [r for r in members if r.status != "optimal"]
         mean_gap = (
-            _fmt(sum(r.gap for r in unsolved) / len(unsolved)) if unsolved else ""
+            fmt(sum(r.gap for r in unsolved) / len(unsolved)) if unsolved else ""
         )
-        mean_root = _fmt(sum(r.root_seconds for r in members) / len(members))
+        mean_root = fmt(sum(r.root_seconds for r in members) / len(members))
         values = (model, kind, size, str(len(members)), str(len(solved)), mean_gap, mean_root)
         out.append(dict(zip(AGGREGATE_COLUMNS, values)))
     return out
@@ -154,6 +154,10 @@ def run_benchmark(
                 except Exception:  # noqa: BLE001 - keep the sweep alive
                     log.exception("solve failed for %s %s", instance_id, kind.value)
                     nan = float("nan")
-                    result = MipResult("error", None, nan, nan, nan, 0, 0.0, nan, 0.0)
+                    result = MipResult(
+                        status="error", incumbent=None, incumbent_value=nan,
+                        bound=nan, gap=nan, nodes=0, wall_seconds=0.0,
+                        root_relaxation=nan, root_seconds=0.0,
+                    )
                 rows.append(row_from_result(instance_id, model, inst, kind, result))
     return rows

@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 from . import benchmark as bench
-from .benchmark import _fmt
 from .allocation import Outcome, TooLargeError, profit
 from .core import Instance, Pricing
 from .fileio import FormatError, load_instance, save_instance
@@ -120,7 +119,7 @@ def _outcome_block(inst: Instance, outcome: Outcome | None) -> list[str]:
     if outcome is None:
         return ["pricing      -", "allocation   -"]
     prices = " ".join(
-        f"p_{i + 1}={_fmt(p)}" for i, p in enumerate(outcome.pricing.prices)
+        f"p_{i + 1}={bench.fmt(p)}" for i, p in enumerate(outcome.pricing.prices)
     )
     served = []
     for b, item in enumerate(outcome.allocation.assignment):
@@ -160,12 +159,13 @@ def cmd_solve(args) -> int:
             f"instance     {args.instance}",
             f"formulation  {kind.value}",
             f"status       {result.status}",
-            f"incumbent    {_fmt(result.incumbent_value)}",
-            f"bound        {_fmt(result.bound)}",
-            f"gap          {_fmt(result.gap)}",
+            f"incumbent    {bench.fmt(result.incumbent_value)}",
+            f"bound        {bench.fmt(result.bound)}",
+            f"gap          {bench.fmt(result.gap)}",
             f"nodes        {result.nodes}",
-            f"wall_seconds {_fmt(result.wall_seconds)}",
-            f"root_lp      {_fmt(result.root_relaxation)} ({_fmt(result.root_seconds)} s)",
+            f"wall_seconds {bench.fmt(result.wall_seconds)}",
+            f"root_lp      {bench.fmt(result.root_relaxation)}"
+            f" ({bench.fmt(result.root_seconds)} s)",
         ]
         lines.extend(_outcome_block(inst, result.incumbent))
         print("\n".join(lines))
@@ -200,7 +200,7 @@ def cmd_relax(args) -> int:
         description, _, report = found
         print(f"strict {args.find_strict} instance: {description}")
         for kind, value in report.values.items():
-            print(f"LR_{kind:3} = {_fmt(value)}")
+            print(f"LR_{kind:3} = {bench.fmt(value)}")
         return 0
     if not args.instances:
         raise CliError("relax needs instance files (or --find-strict)")
@@ -216,7 +216,7 @@ def cmd_relax(args) -> int:
         if report.violations:
             yell = True
             log.error("ordering violation on %s: %s", path, notes)
-        out_rows.append([Path(path).stem, *map(_fmt, report.values.values()), notes])
+        out_rows.append([Path(path).stem, *map(bench.fmt, report.values.values()), notes])
     text = "\n".join(",".join(row) for row in out_rows) + "\n"
     if args.output:
         Path(args.output).write_text(text)
@@ -265,12 +265,12 @@ def cmd_round(args) -> int:
     sol_p = profit(inst, pricing)
     sol_r = profit(inst, rounded)
     ratio = sol_r / sol_p if sol_p > 0 else 1.0
-    print(f"prices       {' '.join(_fmt(p) for p in pricing.prices)}")
-    print(f"rounded      {' '.join(_fmt(p) for p in rounded.prices)}")
-    print(f"sol(p)       {_fmt(sol_p)}")
-    print(f"sol(rounded) {_fmt(sol_r)}")
-    print(f"ratio        {_fmt(ratio)}")
-    print(f"guaranteed   {_fmt(factor)}")
+    print(f"prices       {' '.join(bench.fmt(p) for p in pricing.prices)}")
+    print(f"rounded      {' '.join(bench.fmt(p) for p in rounded.prices)}")
+    print(f"sol(p)       {bench.fmt(sol_p)}")
+    print(f"sol(rounded) {bench.fmt(sol_r)}")
+    print(f"ratio        {bench.fmt(ratio)}")
+    print(f"guaranteed   {bench.fmt(factor)}")
     if ratio < factor - 1e-6:
         print("rounding guarantee violated: bug", file=sys.stderr)
         return INVARIANT_ERROR
@@ -281,7 +281,7 @@ def cmd_oracle(args) -> int:
     inst = _load(args.instance)
     outcome = brute_force_optimal(inst)
     print(f"instance     {args.instance}")
-    print(f"best_profit  {_fmt(outcome.profit)}")
+    print(f"best_profit  {bench.fmt(outcome.profit)}")
     print("\n".join(_outcome_block(inst, outcome)))
     return 0
 

@@ -62,16 +62,26 @@ def floor_geometric(x: float, grid: GeometricGrid) -> float:
         return 0.0
     if x >= grid.apex:
         return grid.apex
-    span = grid.apex / x
-    # for x below apex / DBL_MAX the quotient overflows; the logs do not
-    log_span = math.log(span) if span < math.inf else math.log(grid.apex) - math.log(x)
-    r = max(0, math.ceil(log_span / math.log(grid.ratio)))
-    # +-1 correction absorbs floating-point error in the logarithms
-    while grid.element(r) > x:
-        r += 1
-    while r > 0 and grid.element(r - 1) <= x:
-        r -= 1
-    return grid.element(r)
+    r = max(0, math.ceil((math.log(grid.apex) - math.log(x)) / math.log(grid.ratio)))
+    # The log estimate misses by a step or so in floating point, but by up to
+    # billions where a run of grid elements rounds to one subnormal.  Gallop
+    # from it to a bracket d_lo > x >= d_hi (d_{-1} counts as above x), then
+    # bisect: elements never increase with k, so the answer is one value.
+    lo, hi, step = r, r + 1, 1
+    if grid.element(r) <= x:
+        lo, hi = r - 1, r
+        while lo >= 0 and grid.element(lo) <= x:
+            lo, hi, step = max(-1, lo - step), lo, 2 * step
+    else:
+        while grid.element(hi) > x:
+            lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if grid.element(mid) > x:
+            lo = mid
+        else:
+            hi = mid
+    return grid.element(hi)
 
 
 def _round_down(

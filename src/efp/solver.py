@@ -75,7 +75,9 @@ class LpSolution:
 class MipResult:
     """Branch-and-bound outcome with an honest bound and gap."""
 
-    status: str  # optimal | feasible | infeasible
+    # optimal | feasible | infeasible; error marks a solve that raised in the
+    # benchmark harness
+    status: str
     incumbent: Optional[Outcome]
     incumbent_value: float
     bound: float

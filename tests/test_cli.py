@@ -182,10 +182,24 @@ def test_round_solved_pricing(fig1_path, capsys):
     assert "using solved pricing" in capsys.readouterr().out
 
 
-def test_round_subnormal_price(fig1_path, capsys):
-    # 6 / (1e-310 / 1.5) overflows; the price floors onto the grid all the same
-    assert main(["round", fig1_path, "--prices", "1e-310,6,3", "--eps", "1"]) == 0
-    assert "rounded      " in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "price, eps",
+    [
+        ("1e-310", "1"),  # 6 / (1e-310 / 1.5) overflows
+        ("1e-322", "1e-12"),  # billions of grid elements round to this subnormal
+    ],
+)
+def test_round_subnormal_price(fig1_path, price, eps):
+    import subprocess
+    import sys
+
+    done = subprocess.run(
+        [sys.executable, "-m", "efp", "round", fig1_path,
+         "--prices", f"{price},6,3", "--eps", eps],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "rounded      " in done.stdout
 
 
 def test_round_dimension_mismatch(fig1_path):

@@ -108,6 +108,26 @@ def test_floor_takes_every_finite_value(apex, ratio):
     assert floor_geometric(1e-310, GeometricGrid(6.0, 2.0)) == math.ldexp(3.0, -1032)
 
 
+def test_floor_gallops_over_runs_of_equal_subnormals(monkeypatch):
+    # Steps of 1e-12 are far finer than the subnormal spacing at 1e-322, so
+    # billions of consecutive elements round alike and some round to x itself.
+    # A walk one index at a time does not return; a search makes a few dozen
+    # element calls, and the cap stands in for a timeout.
+    element = GeometricGrid.element
+    calls = 0
+
+    def capped(grid, k):
+        nonlocal calls
+        calls += 1
+        assert calls <= 500, "floor_geometric walks the grid index by index"
+        return element(grid, k)
+
+    monkeypatch.setattr(GeometricGrid, "element", capped)
+    for apex in (6.0, 1.0, sys.float_info.max):
+        assert floor_geometric(1e-322, GeometricGrid(apex, 1.0 + 1e-12)) == 1e-322
+    assert floor_geometric(5e-324, GeometricGrid(1.0, 1.0 + 2**-52)) == 5e-324
+
+
 def test_round_half_worked_example(fig1):
     rounded = round_pricing_half(fig1, Pricing((6, 6, 3)))
     assert rounded.prices == (3.5, 3.5, 1.75)
