@@ -1,4 +1,5 @@
-"""Command-line surface: generate, solve, relax, round, oracle, benchmark.
+"""Command-line surface: generate, solve, relax, find-strict, round, oracle,
+benchmark.
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when an internal
 invariant is violated (a relaxation-ordering breach, a rounding ratio below
@@ -60,8 +61,8 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        # one line from every parser, as for the library's input errors
+        print(f"efp: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 
@@ -84,16 +85,35 @@ def _load(path: str) -> Instance:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _parse_kinds(selector: str) -> list[FormulationKind]:
-    if selector == "all":
+# argparse types: each raises ArgumentTypeError, whose message argparse
+# reports as a usage error on the flag
+def _kinds(text: str) -> list[FormulationKind]:
+    if text == "all":
         return list(ALL_KINDS)
-    kinds = []
-    for token in selector.split(","):
-        try:
-            kinds.append(FormulationKind(token.strip()))
-        except ValueError:
-            raise CliError(f"unknown formulation {token.strip()!r}") from None
-    return kinds
+    try:
+        return [FormulationKind(token.strip()) for token in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"unknown formulation in {text!r}") from None
+
+
+def _sizes(text: str) -> list[int]:
+    try:
+        return [int(token) for token in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad sizes {text!r}") from None
+
+
+def _prices(text: str) -> Pricing:
+    try:
+        return Pricing(tuple(float(token) for token in text.split(",")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad prices {text!r}: {exc}") from None
+
+
+def _at_least_one(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _apply_overrides(config, overrides: list[str]):
@@ -129,8 +149,6 @@ def _outcome_block(inst: Instance, outcome: Outcome | None) -> list[str]:
 
 
 def cmd_generate(args) -> int:
-    if args.output is None:
-        raise CliError("generate needs --output <path>")
     config = preset(args.model, args.n)
     config = _apply_overrides(config, args.set or [])
     inst = generate(args.model, config, args.seed)
@@ -144,9 +162,8 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _load(args.instance)
-    kinds = _parse_kinds(args.formulation)
     rows = []
-    for kind in kinds:
+    for kind in args.formulation:
         model = build(inst, kind, price_bound=not args.no_price_bound)
         result = solve_mip(
             model,
@@ -179,31 +196,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_relax(args) -> int:
-    if args.find_strict:
-        unread = [
-            flag for flag, given in (
-                ("instance files", args.instances),
-                ("--output", args.output is not None),
-                ("--no-price-bound", args.no_price_bound),
-            ) if given
-        ]
-        if unread:
-            raise CliError(f"--find-strict takes no {', '.join(unread)}")
-        if args.budget < 1:
-            raise CliError(f"--budget must be at least 1, got {args.budget}")
-        found = find_strict_instance(
-            args.find_strict, budget=args.budget, base_seed=args.seed
-        )
-        if found is None:
-            print(f"no strict {args.find_strict} instance within {args.budget} trials")
-            return 0
-        description, _, report = found
-        print(f"strict {args.find_strict} instance: {description}")
-        for kind, value in report.values.items():
-            print(f"LR_{kind:3} = {bench.fmt(value)}")
-        return 0
-    if not args.instances:
-        raise CliError("relax needs instance files (or --find-strict)")
     header = ["instance", *(f"LR_{kind.value}" for kind in ALL_KINDS), "violations"]
     out_rows = [header]
     yell = False
@@ -228,25 +220,30 @@ def cmd_relax(args) -> int:
     return 0
 
 
+def cmd_find_strict(args) -> int:
+    found = find_strict_instance(args.target, budget=args.budget, base_seed=args.seed)
+    if found is None:
+        print(f"no strict {args.target} instance within {args.budget} trials")
+        return 0
+    description, _, report = found
+    print(f"strict {args.target} instance: {description}")
+    for kind, value in report.values.items():
+        print(f"LR_{kind:3} = {bench.fmt(value)}")
+    return 0
+
+
 def cmd_round(args) -> int:
     # the factor checks eps before a solve can spend the whole time limit
     factor = guarantee_factor(args.eps, half_rounding=args.eps == 1.0)
     inst = _load(args.instance)
     # the flags are checked even when --prices leaves them unused
     _check_limits(args.time_limit, None, args.tolerance)
-    if args.prices:
-        try:
-            values = tuple(float(tok) for tok in args.prices.split(","))
-        except ValueError:
-            raise CliError(f"bad --prices list: {args.prices!r}") from None
-        if len(values) != inst.num_items:
+    if args.prices is not None:
+        if len(args.prices) != inst.num_items:
             raise CliError(
-                f"--prices has {len(values)} entries for {inst.num_items} items"
+                f"--prices has {len(args.prices)} entries for {inst.num_items} items"
             )
-        try:
-            pricing = Pricing(values)
-        except ValueError as exc:
-            raise CliError(f"bad --prices list: {exc}") from None
+        pricing = args.prices
     else:
         result = solve_mip(
             build(inst, FormulationKind.U, price_bound=not args.no_price_bound),
@@ -287,20 +284,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    if args.output is None:
-        raise CliError("benchmark needs --output <csv path>")
-    if args.seeds < 1:
-        raise CliError(f"--seeds must be at least 1, got {args.seeds}")
-    try:
-        sizes = [int(tok) for tok in args.sizes.split(",")]
-    except ValueError:
-        raise CliError(f"bad --sizes list: {args.sizes!r}") from None
-    kinds = _parse_kinds(args.formulations)
     rows = bench.run_benchmark(
         args.model,
-        sizes,
+        args.sizes,
         args.seeds,
-        kinds,
+        args.formulations,
         time_limit=args.time_limit,
         gap_tolerance=args.tolerance,
         price_bound=not args.no_price_bound,
@@ -343,9 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="efp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser(
-        "generate", parents=[seed, output], help="write a random instance"
-    )
+    p = sub.add_parser("generate", parents=[seed], help="write a random instance")
+    p.add_argument("--output", required=True, help="instance file to write")
     p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--n", required=True, type=int, help="items = bidders = n")
     p.add_argument(
@@ -359,29 +346,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("instance")
     p.add_argument(
-        "--formulation", default="U",
+        "--formulation", type=_kinds, default="U",
         help="one of STM,I,L,P,U, a comma list, or 'all' (default U)",
     )
     p.add_argument("--node-limit", type=int, default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser(
-        "relax", parents=[seed, output, price], aliases=["compare-relaxations"],
+        "relax", parents=[output, price], aliases=["compare-relaxations"],
         help="compare the five linear relaxations",
     )
-    p.add_argument("instances", nargs="*")
-    p.add_argument(
-        "--find-strict", choices=["i-stm", "l-p-u"], default=None,
-        help="search generated instances for a strict separation",
-    )
-    p.add_argument("--budget", type=int, default=500, help="search budget")
+    p.add_argument("instances", nargs="+")
     p.set_defaults(func=cmd_relax)
 
     p = sub.add_parser(
-        "round", parents=[limits, price], help="geometric price rounding"
+        "find-strict", parents=[seed],
+        help="search generated instances for a strict separation",
     )
+    p.add_argument("target", choices=["i-stm", "l-p-u"])
+    p.add_argument("--budget", type=_at_least_one, default=500, help="search budget")
+    p.set_defaults(func=cmd_find_strict)
+
+    p = sub.add_parser("round", parents=[limits, price], help="geometric price rounding")
     p.add_argument("instance")
-    p.add_argument("--prices", default=None, help="comma-separated price vector")
+    p.add_argument("--prices", type=_prices, help="comma-separated price vector")
     p.add_argument(
         "--eps", type=float, default=1.0,
         help="grid parameter; 1 selects the dedicated ratio-2 rounding",
@@ -392,13 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser(
-        "benchmark", parents=[output, limits, price], help="sweep sizes and seeds"
-    )
+    p = sub.add_parser("benchmark", parents=[limits, price], help="sweep sizes and seeds")
+    p.add_argument("--output", required=True, help="row CSV to write")
     p.add_argument("--model", required=True, choices=MODELS)
-    p.add_argument("--sizes", required=True, help="comma-separated instance sizes")
-    p.add_argument("--seeds", type=int, default=5, help="seeds 0..k-1 (default 5)")
-    p.add_argument("--formulations", default="all")
+    p.add_argument("--sizes", type=_sizes, required=True, help="comma-separated sizes")
+    p.add_argument(
+        "--seeds", type=_at_least_one, default=5, help="seeds 0..k-1 (default 5)"
+    )
+    p.add_argument("--formulations", type=_kinds, default="all")
     p.set_defaults(func=cmd_benchmark)
     return parser
 

@@ -134,8 +134,17 @@ def test_relax_alias(fig1_path):
     assert main(["compare-relaxations", fig1_path]) == 0
 
 
+def test_relax_output_holds_the_printed_table(fig1_path, tmp_path, capsys):
+    assert main(["relax", fig1_path]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "relax.csv"
+    assert main(["relax", fig1_path, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+
 def test_relax_find_strict(capsys):
-    assert main(["relax", "--find-strict", "i-stm", "--budget", "20"]) == 0
+    assert main(["find-strict", "i-stm", "--budget", "20"]) == 0
     assert "strict i-stm instance" in capsys.readouterr().out
 
 
@@ -231,10 +240,10 @@ def test_round_dimension_mismatch(fig1_path):
          "--output", "{out}"],
         ["benchmark", "--model", "popularity", "--sizes", "4", "--seeds", "0",
          "--output", "{out}"],
-        ["relax", "--find-strict", "i-stm", "--budget", "-1"],
-        ["relax", "--find-strict", "i-stm", "{fig1}"],
-        ["relax", "--find-strict", "i-stm", "--output", "{out}"],
-        ["relax", "--find-strict", "i-stm", "--no-price-bound"],
+        ["find-strict", "i-stm", "--budget", "-1"],
+        ["find-strict", "i-stm", "{fig1}"],
+        ["find-strict", "i-stm", "--output", "{out}"],
+        ["find-strict", "i-stm", "--no-price-bound"],
         ["oracle", "{fig1}", "--seed", "1"],
         ["generate", "--model", "popularity", "--n", "4", "--time-limit", "5",
          "--output", "{out}"],
@@ -257,6 +266,16 @@ def test_round_dimension_mismatch(fig1_path):
          "--output", "{out}"],
         ["generate", "--model", "popularity", "--n", "8", "--set", "d=inf",
          "--output", "{out}"],
+        ["relax", "{fig1}", "--budget", "3", "--seed", "5"],
+        ["generate", "--model", "popularity", "--n", "4", "--set", "e",
+         "--output", "{out}"],
+        ["generate", "--model", "popularity", "--n", "4", "--set", "e=abc",
+         "--output", "{out}"],
+        ["benchmark", "--model", "popularity", "--sizes", "4,x", "--output", "{out}"],
+        ["round", "{fig1}", "--prices", "6,x,3"],
+        ["solve", "{fig1}", "--formulation", "Q"],
+        ["generate", "--model", "popularity", "--n", "4"],
+        ["find-strict", "i-stm", "--budget", "0"],
     ],
     ids=["n1", "edge-budget", "sizes1", "eps2", "eps0", "negative-price",
          "nan-price", "no-edges", "oracle-too-large", "tolerance-nan",
@@ -268,7 +287,10 @@ def test_round_dimension_mismatch(fig1_path):
          "inf-valuation", "characteristics-ell-nan", "characteristics-ell-minus-inf",
          "characteristics-h-inf", "characteristics-d-inf",
          "characteristics-ell-negative", "neighborhood-h-nan",
-         "neighborhood-M-inf", "popularity-Q-inf", "popularity-d-inf"],
+         "neighborhood-M-inf", "popularity-Q-inf", "popularity-d-inf",
+         "relax-dead-flags", "set-without-value", "set-bad-value", "sizes-not-int",
+         "prices-not-float", "formulation-unknown", "generate-no-output",
+         "budget0"],
 )
 def test_input_errors_exit_1(args, fig1_path, tmp_path, capsys):
     no_edges = tmp_path / "no_edges.efp"
@@ -282,7 +304,9 @@ def test_input_errors_exit_1(args, fig1_path, tmp_path, capsys):
     paths = {"out": tmp_path / "out.efp", "fig1": fig1_path, "no_edges": no_edges,
              "twelve_items": twelve_items, "inf_edge": inf_edge}
     assert main([arg.format(**paths) for arg in args]) == 1
-    assert "efp: error:" in capsys.readouterr().err
+    # one line, in the same form from argparse and from the library
+    err = capsys.readouterr().err
+    assert err.startswith("efp: error: ") and err.count("\n") == 1, err
 
 
 def test_round_violation_exit_code(fig1_path, monkeypatch):

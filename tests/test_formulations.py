@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from efp.allocation import envy_free_allocation
 from efp.core import Pricing, validate_instance
@@ -92,6 +94,13 @@ def test_model_rejects_bad_structure():
         MipModel.from_rows((x,), {}, (Constraint("c", {"ghost": 1.0}, "<=", 0.0),))
     with pytest.raises(ValueError, match="binary"):
         MipModel.from_rows((Variable("y", 0.0, 2.0, True),), {}, ())
+    with pytest.raises(ValueError, match="constraint c has sense '<'"):
+        MipModel.from_rows((x,), {}, (Constraint("c", {"x_1_1": 1.0}, "<", 0.0),))
+    model = MipModel.from_rows((x,), {}, (Constraint("c", {"x_1_1": 1.0}, "<=", 1.0),))
+    with pytest.raises(ValueError, match=r"A is \(1, 2\) for 1 rows and 1 columns"):
+        dataclasses.replace(model, A=sparse.csr_array((1, 2)))
+    with pytest.raises(ValueError, match=r"A is \(1, 1\) for 1 rows and 1 columns"):
+        dataclasses.replace(model, senses=("<=", "<="))
 
 
 @st.composite

@@ -78,14 +78,24 @@ def _floor_as_before(x, grid):
     return grid.apex / grid.ratio**r
 
 
+# one x per grid where the log estimate lands on an element above x, so the
+# floor searches upward from it
+GALLOPS_UP = {
+    (1.0, 1.25): [4.412521810481589e-24],
+    (6.0, 1.001): [0.8673838424770057],
+    (1e300, 1.1): [1.4151858236628272e+233],
+}
+
+
 def test_floor_keeps_the_bits_wherever_it_never_raised():
     rng = SeededRng(11)
     checked = 0
     for apex, ratio in [(7.0, 2.0), (11.3, 1.25), (1e300, 1.5), (1e-300, 1.01),
-                        (3.0, 1.0 + 1e-9)]:
+                        (3.0, 1.0 + 1e-9), *GALLOPS_UP]:
         grid = GeometricGrid(apex, ratio)
         xs = [apex * 10.0 ** (-300 * rng.uniform()) for _ in range(300)]
         xs += [grid.element(k) for k in range(0, 3000, 7)]
+        xs += GALLOPS_UP.get((apex, ratio), [])
         for x in xs:
             try:
                 before = _floor_as_before(x, grid)
