@@ -110,8 +110,8 @@ class Pricing:
 
     def __post_init__(self) -> None:
         for i, p in enumerate(self.prices):
-            if not p >= 0:  # also rejects NaN
-                raise ValueError(f"price of item {i} must be non-negative, got {p}")
+            if not p >= 0:  # also rejects NaN; items are named 1-based, as printed
+                raise ValueError(f"price of item {i + 1} must be non-negative, got {p}")
 
     def __len__(self) -> int:
         return len(self.prices)

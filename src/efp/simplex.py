@@ -50,8 +50,12 @@ absolute ``time.perf_counter()`` value) is checked once per pivot; a loop
 that passes it stops with status "time-limit".  A is held once, sparse
 (CSR; a dense A is converted on entry), with >= rows folded in by a +-1 row
 sign.  Only the tableau is dense, kept Fortran-ordered so the rank-1 pivot
-update runs as one in-place BLAS ger call; desk-scale models stay within a
-few thousand columns.
+update runs as a BLAS ger call in place; desk-scale models stay within a
+few thousand columns.  On a large tableau whose pivot row is sparse, the
+update gathers the columns the row reaches, runs ger on those alone and
+scatters them back (_reach); the rest would only have had +-0.0 added.  The
+pricing LPs are sparse: a pivot row of the presolved n=50 U root (950 x
+500) holds about 1% nonzeros.
 
 The tableau is condensed (a dictionary, as in Chvatal's *Linear
 Programming*): it keeps B^-1 A_N, one column per nonbasic slot, and not the
@@ -607,8 +611,10 @@ def _pivot(
     rests at the bound given by leaving_status.  The leaving variable's
     column is the unit column e_r, so a full-tableau update would make it
     -col * (1 / piv) with 1 / piv in row r; it is written so, with the same
-    floating-point operations.  The loop's state follows: slot j takes the
-    leaving variable's sign and row r the entering variable's bound.
+    floating-point operations.  The rank-1 update runs on the whole tableau
+    or, where _reach finds that cheaper, on the columns the pivot row
+    reaches.  The loop's state follows: slot j takes the leaving variable's
+    sign and row r the entering variable's bound.
     """
     T, nb, val, basis, vstat, ubp, d, _ = tableau
     leaving = basis[r]
@@ -628,11 +634,38 @@ def _pivot(
     T[r] = row
     col = T[:, j].copy()
     col[r] = 0.0
-    dger(-1.0, col, row, a=T, overwrite_a=1)
+    reach = _reach(T, row)
+    if reach is None:
+        dger(-1.0, col, row, a=T, overwrite_a=1)
+    else:  # the gathered block is Fortran-ordered too, so dger takes it as is
+        T[:, reach] = dger(-1.0, col, row[reach], a=T[:, reach], overwrite_a=1)
     d_e = d[j]
     d -= d_e * row
     inv = 1.0 / piv
-    T[:, j] = -col * inv
+    np.multiply(col, -inv, out=T[:, j])
     T[r, j] = inv
     d[j] = -(d_e * inv)
     return row
+
+
+def _reach(T: np.ndarray, row: np.ndarray) -> np.ndarray | None:
+    """The columns where the pivot row is nonzero, when the rank-1 update is
+    cheaper on those alone; None when the whole tableau should be updated.
+
+    Elsewhere the update only adds +-0.0, and dger computes every entry it
+    touches the same way in a gathered block, so both paths give the same
+    bits.  Measured per pivot (one-thread OpenBLAS, 2-core Xeon VM), the
+    gathered path costs about 2.5 us plus 2-4 times the dense update's time
+    per entry.  From 400 x 200 to 2,310 x 1,170 it won below a row density
+    of 25-30%, and by 20x at 1% on 950 x 500.  At 144 x 80 it never won; at
+    264-270 x 136-150 it won below 12-15%, by at most 3 us a pivot, but
+    the n=8 branch-and-bound tableaus are that size and 35-50% dense, and
+    counting their rows' nonzeros slowed a pass over them by about 2%.  So
+    tableaus of up to 65,536 entries stay dense, and larger ones gather
+    below 25%.
+    """
+    m, n = T.shape
+    if m * n <= 65536:
+        return None
+    reach = row.nonzero()[0]
+    return reach if 4 * reach.size < n else None

@@ -58,17 +58,32 @@ class InvalidLimitError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    """Result of one linear-relaxation solve: x over the named columns, if any."""
+    """Result of one linear-relaxation solve: x over the named columns, if any.
+
+    The point is kept as its nonzeros, their positions and values: the
+    n=50 U root's has about 135 of 2,600.  x and values read it at full
+    length.
+    """
 
     status: str  # optimal | infeasible | unbounded | iteration-limit | numerical
     objective: float
     names: tuple[str, ...]
-    x: Optional[np.ndarray]
+    support: Optional[np.ndarray]  # positions of x's nonzeros; None without x
+    nonzeros: Optional[np.ndarray]  # x at those positions
     iterations: int
 
     @property
+    def x(self) -> Optional[np.ndarray]:
+        if self.support is None:
+            return None
+        x = np.zeros(len(self.names))
+        x[self.support] = self.nonzeros
+        return x
+
+    @property
     def values(self) -> dict[str, float]:
-        return {} if self.x is None else dict(zip(self.names, self.x.tolist()))
+        x = self.x
+        return {} if x is None else dict(zip(self.names, x.tolist()))
 
 
 @dataclass(frozen=True)
@@ -235,8 +250,15 @@ def solve_lp(model: MipModel) -> LpSolution:
     """Solve the linear relaxation of a model (integrality is ignored)."""
     s = _setup(model)
     res = s.lp.solve(start_at_upper=s.start)
-    x = None if res.x is None else s.full(res.x)
-    return LpSolution(res.status, res.objective + s.offset, model.names, x, res.iterations)
+    support = nonzeros = None
+    if res.x is not None:
+        x = s.full(res.x)
+        support = np.flatnonzero(x.view(np.int64))  # by bits: a -0.0 is kept
+        nonzeros = x[support]
+    return LpSolution(
+        res.status, res.objective + s.offset, model.names, support, nonzeros,
+        res.iterations,
+    )
 
 
 def primal_heuristic(inst: Instance, prices) -> Outcome:

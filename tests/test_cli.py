@@ -307,6 +307,8 @@ def test_input_errors_exit_1(args, fig1_path, tmp_path, capsys):
     # one line, in the same form from argparse and from the library
     err = capsys.readouterr().err
     assert err.startswith("efp: error: ") and err.count("\n") == 1, err
+    if "6,-1,3" in args:  # the bad price is the one printed as p_2
+        assert "price of item 2 must be non-negative" in err, err
 
 
 def test_round_violation_exit_code(fig1_path, monkeypatch):

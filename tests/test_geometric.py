@@ -79,11 +79,14 @@ def _floor_as_before(x, grid):
 
 
 # one x per grid where the log estimate lands on an element above x, so the
-# floor searches upward from it
+# floor searches upward from it.  On the first three the next element is
+# already at or below x; on the ratio 1 + 2**-50 grid the estimate's
+# rounding error is worth 64 indices, so the upward gallop doubles its step
 GALLOPS_UP = {
     (1.0, 1.25): [4.412521810481589e-24],
     (6.0, 1.001): [0.8673838424770057],
     (1e300, 1.1): [1.4151858236628272e+233],
+    (1.0, 1.0 + 2.0**-50): [3.494029893952894e-223],
 }
 
 

@@ -655,6 +655,60 @@ def test_a_nan_row_never_leaves():
     assert runs[0][0] == ("iteration-limit", 1)
 
 
+def _always_gather(T, row):
+    return row.nonzero()[0]
+
+
+def _never_gather(T, row):
+    return None
+
+
+def _mid_solve_tableau(model, pivots):
+    """A model's crash-started tableau after some primal pivots, and a pivot
+    (r, j) on the largest entry of its densest column."""
+    lp, prices, _, _ = _lp(model)
+    span = np.maximum(lp.ub - lp.lb, 0.0)
+    status = np.full(lp.nvars + len(lp.b), simplex._BASIC, dtype=np.int8)
+    status[: lp.nvars] = np.where(prices, simplex._UPPER, simplex._LOWER)
+    tableau = lp._refactor(status, lp.lb, span)
+    assert SimplexSolver._iterate(tableau, pivots, 0, None) == ("iteration-limit", pivots)
+    j = int(np.count_nonzero(tableau.T, axis=0).argmax())
+    return tableau, int(np.abs(tableau.T[:, j]).argmax()), j
+
+
+@pytest.mark.parametrize(
+    "size, kind, gathers", [(50, FormulationKind.U, True), (8, FormulationKind.STM, False)]
+)
+def test_both_update_paths_give_the_same_bits(monkeypatch, size, kind, gathers):
+    # the n=50 U root is 950 x 500 and sparse, so its pivots gather the
+    # columns the pivot row reaches; the n=8 STM tableau is small and dense
+    inst = generate("popularity", preset("popularity", size), 0)
+    tableau, r, j = _mid_solve_tableau(build(inst, kind), 60)
+    runs = []
+    for reach in (_always_gather, _never_gather):
+        monkeypatch.setattr(simplex, "_reach", reach)
+        copy = simplex._Tableau(*(a.copy(order="K") for a in tableau))
+        row = simplex._pivot(copy, r, j, 0.0, simplex._LOWER, *simplex._loop_state(copy))
+        runs.append((copy.T, copy.d, row))
+    monkeypatch.undo()
+    assert (simplex._reach(runs[0][0], runs[0][2]) is not None) == gathers
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
+
+
+def test_root_lp_is_the_same_on_both_update_paths(monkeypatch):
+    lp, prices, _, _ = _lp(build(generate("popularity", preset("popularity", 50), 0), "U"))
+    results = []
+    for reach in (simplex._reach, _never_gather):
+        monkeypatch.setattr(simplex, "_reach", reach)
+        results.append(lp.solve(start_at_upper=prices))
+    gathered, dense = results
+    assert gathered.status == dense.status == "optimal"
+    assert gathered.iterations == dense.iterations
+    assert gathered.x.tobytes() == dense.x.tobytes()
+    assert gathered.basis.tobytes() == dense.basis.tobytes()
+
+
 def _fig1_assign_conflict():
     """fig1's U model with bidder 1 given item 1; x_3_1 = 1 then breaks assign_1."""
     model = build(make_fig1(), FormulationKind.U)

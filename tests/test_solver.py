@@ -25,6 +25,7 @@ from efp.solver import (
     solve_mip,
 )
 
+from conftest import make_fig1
 from reference_lp import (
     MARKET_HIGHS_SOLVE_ERROR,
     reference_lp_optimum,
@@ -192,7 +193,7 @@ def test_time_limit_holds_inside_the_root_lp():
     # this market's root LP alone runs at least ten times the limit
     inst = generate("popularity", preset("popularity", 30), 0)
     model = build(inst, FormulationKind.STM)
-    limit = 0.05
+    limit = 0.01
     start = time.perf_counter()
     assert solve_lp(model).status == "optimal"
     assert time.perf_counter() - start >= 10 * limit
@@ -410,6 +411,20 @@ def test_uncapped_prices_reach_the_same_optimum(fig1):
         assert report.values[kind] >= capped.values[kind] - 1e-6
 
 
+def test_lp_solution_reads_its_dense_point():
+    # the point is kept as its nonzeros; x and values read it at full length
+    pop12 = generate("popularity", preset("popularity", 12), 0)
+    for inst, kind in ((make_fig1(), "P"), (pop12, "U")):
+        model = build(inst, kind)
+        s = solver._setup(model)
+        dense = s.full(s.lp.solve(start_at_upper=s.start).x)
+        sol = solve_lp(model)
+        assert sol.support.size < dense.size
+        assert sol.x.tobytes() == dense.tobytes()
+        assert list(sol.values) == list(model.names)
+        assert np.array(list(sol.values.values())).tobytes() == dense.tobytes()
+
+
 def test_infeasible_lp_reported():
     # conflicting binary fixings: model manually made infeasible via bounds
     inst = validate_instance(1, 2, [(0, 0, 2.0), (0, 1, 3.0)])
@@ -425,7 +440,9 @@ def test_infeasible_lp_reported():
             Constraint("force_b", {"x_1_1": 1.0}, "<=", 0.0),
         ),
     )
-    assert solve_lp(forced).status == "infeasible"
+    lp = solve_lp(forced)
+    assert lp.status == "infeasible"
+    assert lp.x is None and lp.values == {}
     result = solve_mip(forced, inst)
     assert result.status == "infeasible"
     assert result.incumbent is None
