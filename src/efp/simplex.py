@@ -18,7 +18,10 @@ three steps, each written once.
    the tableau is taken over in place; otherwise its nonbasic columns are
    computed again from an LU of the basic block: the basic logicals are unit
    columns, so only the rows whose logical is nonbasic, against the basic
-   structurals, are factorised.  The changed variables move to their new
+   structurals, are factorised.  A shared start (``share_start``) leaves
+   that tableau with the earlier result and runs on a copy, so the next
+   solve from the same result takes it over: the two children of a node
+   need at most one factorisation.  The changed variables move to their new
    bounds, which leaves only basic values out of bounds.  Without a stored
    basis, or when its block is singular or ill-conditioned (counted in
    ``singular_blocks``), the start is the slack basis, every logical basic,
@@ -36,9 +39,11 @@ three steps, each written once.
    proves the LP infeasible.  If it pivoted, the reduced costs of c are
    computed afresh before the primal loop.
 3. Check.  Between factorisations the tableau is updated by pivots alone, so
-   drift can end a run at a basis whose point breaks the rows.  An "optimal"
-   point is therefore checked against the rows and bounds before it is
-   returned; one that fails is re-optimised once from its own basis,
+   drift can end a run at a basis whose point breaks the rows, or whose kept
+   reduced costs no longer match its columns.  An "optimal" point is
+   therefore checked against the rows and bounds, and its basis against
+   reduced costs computed afresh from the tableau (_priced_out), before it
+   is returned; one that fails is re-optimised once from its own basis,
    factorised afresh (from the slack basis if that block is singular), and a
    second failure is status "numerical" with the first point.  An optimal
    result carries its final basis.
@@ -121,7 +126,7 @@ class SimplexResult:
     x: np.ndarray | None
     iterations: int
     # the final tableau of an optimal solve asked to keep it, until a
-    # start_from solve takes it over
+    # start_from solve takes it over; a share_start solve leaves it here
     tableau: _Tableau | None = field(default=None, repr=False, compare=False)
     # an optimal solve's final basis: one status per structural, then per
     # row's logical
@@ -159,6 +164,7 @@ class SimplexSolver:
         # the rows' residual bound, RESIDUAL_TOL * max(1, |rhs|), for _feasible
         self._row_tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(self.b))
         self.senses = np.where(self._le, "<=", "=").tolist()
+        self._cost = np.concatenate((self.c, np.zeros(len(kind))))  # logicals cost 0
         self.lb = np.asarray(lb, dtype=float)
         self.ub = np.asarray(ub, dtype=float)
         if np.any(np.isneginf(self.lb)):
@@ -178,21 +184,27 @@ class SimplexSolver:
         deadline: float | None = None,
         start_from: SimplexResult | None = None,
         keep_tableau: bool = False,
+        share_start: bool = False,
     ) -> SimplexResult:
         """Solve under optional bound overrides in three steps.
 
         Start: start_from is an earlier result of this solver.  If it kept
         its tableau (keep_tableau=True), that tableau is taken from it and
         re-optimised in place under the new bounds; otherwise start_from's
-        basis is factorised afresh.  Without a start_from, when its basis is
-        missing or singular, or when the warm start ends "infeasible", the
-        solve starts cold from the slack basis, crash-started by
-        start_at_upper.  Optimise: _optimise runs the dual loop, then the
-        primal loop.  Check: an "optimal" x that breaks a row or bound is
-        re-optimised once from its own basis, factorised afresh (from the
-        slack basis if that basis is singular); a second failure is
-        "numerical", with the first point.  deadline is an absolute
-        time.perf_counter() value.
+        basis is factorised afresh.  With share_start, start_from keeps that
+        tableau, the kept or the fresh one, and the solve runs on a copy, so
+        that a second solve from start_from can take it over; this is how
+        both children of a branch-and-bound node start from the node's
+        tableau at the cost of at most one factorisation.  Without a
+        start_from, when its basis is missing or singular, or when the warm
+        start ends "infeasible", the solve starts cold from the slack basis,
+        crash-started by start_at_upper.  Optimise: _optimise runs the dual
+        loop, then the primal loop.  Check: an "optimal" x that breaks a row
+        or bound, or whose basis prices a slot in under reduced costs
+        computed afresh, is re-optimised once from its own basis, factorised
+        afresh (from the slack basis if that basis is singular); a second
+        failure is "numerical", with the first point.  deadline is an
+        absolute time.perf_counter() value.
         """
         lob = self.lb if lb is None else np.asarray(lb, dtype=float)
         upb = self.ub if ub is None else np.asarray(ub, dtype=float)
@@ -200,14 +212,18 @@ class SimplexSolver:
             return SimplexResult("infeasible", float("nan"), None, 0)
         result = None
         if start_from is not None:
-            result = self._resolve(start_from, lob, upb, max_iterations, deadline)
+            result = self._resolve(
+                start_from, lob, upb, max_iterations, deadline, share_start
+            )
         if result is None or result.status == "infeasible":
             # a warm "infeasible" is confirmed by the cold start
             spent = 0 if result is None else result.iterations
             budget = max_iterations - spent
             cold = self._solve(lob, upb, start_at_upper, budget, deadline)
             result = replace(cold, iterations=spent + cold.iterations)
-        if result.status == "optimal" and not self._feasible(result.x, lob, upb):
+        if result.status == "optimal" and not (
+            self._feasible(result.x, lob, upb) and self._priced_out(result.tableau)
+        ):
             # one retry, from the rejected basis factorised afresh
             result.tableau = None  # one tableau alive at a time
             budget = max_iterations - result.iterations
@@ -215,7 +231,10 @@ class SimplexSolver:
             if retry is None:
                 retry = self._solve(lob, upb, None, budget, deadline)
             iterations = result.iterations + retry.iterations
-            if retry.status == "optimal" and self._feasible(retry.x, lob, upb):
+            if (
+                retry.status == "optimal" and self._feasible(retry.x, lob, upb)
+                and self._priced_out(retry.tableau)
+            ):
                 result = replace(retry, iterations=iterations)
             else:
                 result = SimplexResult(
@@ -234,6 +253,17 @@ class SimplexSolver:
             and np.all(x >= lob - RESIDUAL_TOL * np.maximum(1.0, np.abs(lob)))
             and np.all(x <= upb + RESIDUAL_TOL * np.maximum(1.0, np.abs(upb)))
         )
+
+    def _priced_out(self, tableau: _Tableau) -> bool:
+        """No slot prices in under reduced costs computed afresh from the
+        tableau, c_N - c_B T.
+
+        The loops update d and T pivot by pivot, and after a tiny pivot the
+        two can drift apart: d then shows no improving slot where T does.
+        """
+        T, nb, _, basis, _, _, _, _ = tableau
+        d = self._cost[nb] - self._cost[basis] @ T
+        return not np.any(_loop_state(tableau)[0] * d > OPTIMALITY_TOL)
 
     def _solve(
         self,
@@ -262,11 +292,14 @@ class SimplexSolver:
         upb: np.ndarray,
         max_iterations: int,
         deadline: float | None,
+        share: bool = False,
     ) -> SimplexResult | None:
         """Optimise start's basis under new bounds.
 
         start's kept tableau is taken over; without one its basis is
-        factorised afresh.  None means start has no basis, or a singular one.
+        factorised afresh.  With share, start keeps the tableau, kept or
+        fresh, and a copy is optimised.  None means start has no basis, or a
+        singular one.
         """
         tableau, start.tableau = start.tableau, None
         span = np.maximum(upb - lob, 0.0)
@@ -275,6 +308,8 @@ class SimplexSolver:
             self.singular_blocks += tableau is None
         if tableau is None:
             return None
+        if share:  # np.copy keeps T Fortran-ordered
+            start.tableau, tableau = tableau, _Tableau(*map(np.copy, tableau))
         T, nb, val, basis, vstat, ubp, d, old_lob = tableau
         nv = self.nvars
 
@@ -321,8 +356,7 @@ class SimplexSolver:
         )
         if status == "optimal":
             if iterations and d is not tableau.d:  # a phase 1 that pivoted
-                cost = np.concatenate((self.c, np.zeros(len(self.b))))
-                d = cost[tableau.nb] - cost[tableau.basis] @ tableau.T
+                d = self._cost[tableau.nb] - self._cost[tableau.basis] @ tableau.T
                 tableau = tableau._replace(d=d)
             status, iterations = self._iterate(
                 tableau, max_iterations, iterations, deadline
@@ -396,7 +430,7 @@ class SimplexSolver:
 
         basis = np.concatenate((S, nv + np.flatnonzero(basic[nv:])))
         ubp = np.concatenate((span, np.where(self._le, np.inf, 0.0)))
-        d = np.concatenate((self.c, np.zeros(m)))[nb] - self.c[S] @ T[:k]
+        d = self._cost[nb] - self.c[S] @ T[:k]
         return _Tableau(T, nb, val, basis, vstat, ubp, d, lob)
 
     def _result(

@@ -7,20 +7,25 @@ upper bound and feed the heuristic.  The presolve keeps the LP's value at
 every branch-and-bound node; every x it returns, and every objective, is
 mapped back to the model's full length.  solve_lp evaluates a model's linear
 relaxation.
-solve_mip runs best-bound branch-and-bound on the binary assignment
-variables.  Every LP, the root included, passes through one node step:
-primal_heuristic turns its fractional prices into the greedy envy-free
-allocation, which is always feasible, so the incumbent can improve at every
-LP; then the LP is closed (infeasible, failed, or bounded by the cutoff) or
-kept open.  The search returns from one block after its loop, the infeasible
-root included.  Every open node keeps its LP's optimal basis.  Of the two
-children of a node, x_j = 0 starts from that basis, factorised afresh, and
-x_j = 1 from its sibling's final tableau (from the node's basis too if the
-sibling left none); the simplex's dual re-solve takes each from there.  Only
-the root LP is solved cold.  An LP counts as optimal only after its point
-passes the simplex's row and bound check; otherwise it is "numerical" and
-its bound is not trusted.  The time limit is a deadline inside every LP as
-well as between nodes.  compare_relaxations evaluates all five relaxations
+solve_mip runs best-bound branch-and-bound with plunging on the binary
+assignment variables.  Every LP, the root included, passes through one node
+step: primal_heuristic turns its fractional prices into the greedy
+envy-free allocation, which is always feasible, so the incumbent can improve
+at every LP; then the LP is closed (infeasible, failed, or bounded by the
+cutoff) or kept open.  The search returns from one block after its loop, the
+infeasible root included.  After a node's two children, the better one kept
+open (higher bound, then lower LP number) is expanded next, a dive, and the
+other goes on the heap; a dive ends when neither child is kept open, and the
+best bound is popped.  The root is the first dive.  A node on the heap keeps
+only its LP's optimal basis; the node a dive expands next also keeps its
+final tableau.  Both children of a node start from the node's tableau:
+child x_j = 0 from a copy, child x_j = 1 from the tableau itself.  A node
+popped from the heap gets that tableau from one factorisation of its basis,
+inside the solve of its child x_j = 0; the simplex's dual re-solve takes
+each child from there.  Only the root LP is solved cold.  An LP counts as
+optimal only after it passes the simplex's row, bound and reduced-cost
+checks; otherwise it is "numerical" and its bound is not trusted.  The time
+limit is a deadline inside every LP as well as between nodes.  compare_relaxations evaluates all five relaxations
 of an instance and flags any breach of the proven ordering LR_I <= LR_STM
 and LR_I <= LR_L <= LR_P <= LR_U as a solver bug.
 """
@@ -284,6 +289,11 @@ def _branch_variable(x: np.ndarray, int_idx: np.ndarray) -> Optional[int]:
     return int(int_idx[pick])
 
 
+# an open node: -bound, its LP's number (the tie-break), its bounds and its LP
+# result; the node a dive is about to expand holds its LP's final tableau too
+_Node = tuple[float, int, np.ndarray, np.ndarray, SimplexResult]
+
+
 def _check_limits(
     time_limit: Optional[float], node_limit: Optional[int], gap_tolerance: float
 ) -> None:
@@ -311,7 +321,8 @@ def solve_mip(
     node_limit: Optional[int] = None,
     gap_tolerance: float = 1e-6,
 ) -> MipResult:
-    """Best-bound branch-and-bound over the binary assignment variables.
+    """Best-bound branch-and-bound with plunging over the binary assignment
+    variables.
 
     Every LP, the root included, passes through one node step: its point,
     if any, gives a candidate incumbent through primal_heuristic (the first
@@ -319,15 +330,20 @@ def solve_mip(
     exceeds the cutoff, incumbent + gap_tolerance * max(1, |incumbent|), is
     kept open; every other LP is closed.  One that ends "numerical" or at
     the iteration limit has no trusted bound, so it is closed with a warning
-    and the search is no longer exhaustive.  A popped node branches on its
-    most fractional binary, or is dropped if integral.  The search returns
-    from one block after its loop: status "infeasible" with NaNs when no LP
-    had a point.
+    and the search is no longer exhaustive.  An expanded node branches on
+    its most fractional binary, or is dropped if integral.  The better child
+    kept open is expanded next (a dive), the other is pushed on the heap,
+    and when neither is kept open the best bound is popped.  A dive node
+    whose bound no longer beats the cutoff is dropped alone; only a popped
+    node that does not beat it ends the search, since every other open node
+    is then bounded by it.  The search returns from one block after its
+    loop: status "infeasible" with NaNs when no LP had a point.
 
     Limits never fail the solve: hitting one reports status "feasible" with
-    the incumbent found so far and the honest remaining bound.  A node LP
-    cut short by the time limit puts its node back among the open ones, so
-    the bound stays finite; only a root LP cut short leaves it inf.  Raises
+    the incumbent found so far and the honest remaining bound.  A dive node
+    pending at a limit stays among the open ones, and a node LP cut short by
+    the time limit puts its node back among them, so the bound stays finite;
+    only a root LP cut short leaves it inf.  Raises
     InvalidLimitError unless gap_tolerance is finite and >= 0, time_limit
     is None or > 0 and node_limit is None or >= 1.
     """
@@ -339,8 +355,7 @@ def solve_mip(
     inc_val = -math.inf
     exhaustive = True
     nodes = 0
-    # each open node: -bound, its LP's number (the tie-break), its bounds and its LP
-    open_nodes: list[tuple[float, int, np.ndarray, np.ndarray, SimplexResult]] = []
+    open_nodes: list[_Node] = []  # a heap, each node with its LP's basis only
 
     def scale() -> float:
         return max(1.0, abs(inc_val))
@@ -348,8 +363,8 @@ def solve_mip(
     def cutoff() -> float:
         return inc_val + gap_tolerance * scale()
 
-    def visit(res: SimplexResult, lb: np.ndarray, ub: np.ndarray) -> bool:
-        """The node step for one LP; True if the time limit cut it short."""
+    def visit(res: SimplexResult, lb: np.ndarray, ub: np.ndarray) -> Optional[_Node]:
+        """The node step for one LP; its open node if it is kept open."""
         nonlocal incumbent, inc_val, exhaustive, nodes
         nodes += 1
         if res.status == "unbounded":
@@ -361,43 +376,59 @@ def solve_mip(
         if res.status == "optimal":
             bound, limit = res.objective + s.offset, cutoff()
             if bound > limit:
-                heapq.heappush(open_nodes, (-bound, nodes, lb, ub, res))
                 log.debug("LP %d kept open at bound %.9g", nodes, bound)
-            else:
-                log.debug("LP %d closed by bound %.9g <= cutoff %.9g", nodes, bound, limit)
+                return (-bound, nodes, lb, ub, res)
+            log.debug("LP %d closed by bound %.9g <= cutoff %.9g", nodes, bound, limit)
         elif res.status == "infeasible":
             log.debug("LP %d infeasible", nodes)
         elif res.status == "time-limit":
             log.debug("LP %d cut short by the time limit", nodes)
-            return True
         else:
             log.warning("LP %d ended with status %s", nodes, res.status)
             exhaustive = False
-        return False
+        res.tableau = None  # a closed LP's tableau serves no child
+        return None
 
-    root = s.lp.solve(start_at_upper=s.start, deadline=deadline)
+    def shelve(node: _Node) -> None:
+        """Put an open node on the heap with its basis only."""
+        node[4].tableau = None
+        heapq.heappush(open_nodes, node)
+
+    root = s.lp.solve(start_at_upper=s.start, deadline=deadline, keep_tableau=True)
     root_seconds = time.perf_counter() - start
-    if visit(root, s.lp.lb, s.lp.ub):
+    dive = visit(root, s.lp.lb, s.lp.ub)  # the root is the first dive
+    if root.status == "time-limit":
         exhaustive = False  # a root LP cut short leaves no bound to fall back on
-    cut_short = False
-    while open_nodes and not cut_short:
+    while dive is not None or open_nodes:
         if deadline is not None and time.perf_counter() > deadline:
             break
         if node_limit is not None and nodes >= node_limit:
             break
-        popped = heapq.heappop(open_nodes)
-        neg_bound, number, node_lb, node_ub, node = popped
-        if -neg_bound <= cutoff():
-            open_nodes.clear()
-            break
-        branch = _branch_variable(node.x, s.binaries)
+        if dive is None:
+            node = heapq.heappop(open_nodes)
+            if -node[0] <= cutoff():
+                open_nodes.clear()
+                break
+            log.debug("heap pops node of LP %d", node[1])
+        else:
+            node, dive = dive, None
+            if -node[0] <= cutoff():
+                log.debug(
+                    "dive node of LP %d dropped by bound %.9g <= cutoff %.9g",
+                    node[1], -node[0], cutoff(),
+                )
+                continue
+            log.debug("dive reaches node of LP %d", node[1])
+        _, number, node_lb, node_ub, res = node
+        branch = _branch_variable(res.x, s.binaries)
         if branch is None:
             log.debug("node of LP %d is integral", number)
             continue
         log.debug("node of LP %d branches on %s", number, model.names[s.columns[branch]])
-        # child 0 starts from the node's basis; child 1 re-solves child 0's
-        # final tableau in place, or the node's basis if child 0 left none
-        warm = node
+        # both children start from the node's tableau: child 0 from a copy
+        # (after one factorisation of the node's basis if the node came from
+        # the heap) and child 1 from the tableau itself
+        children: list[_Node] = []
         for fixed in (0.0, 1.0):
             child_lb = node_lb.copy()
             child_ub = node_ub.copy()
@@ -405,15 +436,25 @@ def solve_mip(
             child_ub[branch] = fixed
             child = s.lp.solve(
                 child_lb, child_ub, start_at_upper=s.start, deadline=deadline,
-                start_from=warm, keep_tableau=fixed == 0.0,
+                start_from=res, keep_tableau=True, share_start=fixed == 0.0,
             )
-            if child.tableau is not None:
-                warm = child
-            if visit(child, child_lb, child_ub):
-                # the node's own bound still covers both children
-                heapq.heappush(open_nodes, popped)
-                cut_short = True
+            kept = visit(child, child_lb, child_ub)
+            if child.status == "time-limit":
                 break
+            if kept is not None:
+                children.append(kept)
+        if child.status == "time-limit":
+            shelve(node)  # the node's own bound still covers both children
+            break
+        if children:
+            # plunge into the better child (higher bound, then lower LP
+            # number); only it keeps its final tableau
+            dive = min(children)
+            for other in children:
+                if other is not dive:
+                    shelve(other)
+    if dive is not None:
+        shelve(dive)  # a dive pending at a limit stays open, so the bound is honest
 
     wall = time.perf_counter() - start
     # a root LP cut short reached some point, not the relaxation's optimum

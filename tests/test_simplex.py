@@ -193,13 +193,13 @@ def test_blands_rule_leaves_the_devex_weights_alone(monkeypatch):
 _PINNED_PIVOTS = {
     1000: (
         {"STM": 27, "I": 24, "L": 19, "P": 14, "U": 10},
-        {"STM": (107, 1480), "I": (23, 524), "L": (23, 424), "P": (27, 170),
-         "U": (29, 132)},
+        {"STM": (111, 1053), "I": (23, 404), "L": (23, 372), "P": (35, 178),
+         "U": (37, 130)},
     ),
     -1: (
         {"STM": 28, "I": 27, "L": 26, "P": 17, "U": 11},
-        {"STM": (107, 2969), "I": (23, 1137), "L": (23, 1096), "P": (27, 282),
-         "U": (29, 241)},
+        {"STM": (111, 2282), "I": (23, 945), "L": (23, 899), "P": (35, 285),
+         "U": (37, 248)},
     ),
 }
 
@@ -329,6 +329,27 @@ def test_drifted_optimum_is_re_solved(model_name, seed):
     assert not constraint_violations(model, sol.values, tol=1e-6)
     report = compare_relaxations(inst)
     assert report.ok(), report
+
+
+def test_drifted_reduced_costs_are_re_solved(monkeypatch):
+    # the crash-started primal loop pivots on 1e-5 here, and its kept d then
+    # prices no slot in although T does: unchecked, formulation I's LP ends
+    # "optimal" at 5.99999, with a feasible point, below HiGHS's 6
+    inst = validate_instance(2, 3, [(0, 2, 2.0), (1, 0, 2.00001), (1, 1, 2.0),
+                                    (1, 2, 2.00001)])
+    model = build(inst, FormulationKind.I)
+    priced_out, verdicts = SimplexSolver._priced_out, []
+
+    def spy(self, tableau):
+        verdicts.append(priced_out(self, tableau))
+        return verdicts[-1]
+
+    monkeypatch.setattr(SimplexSolver, "_priced_out", spy)
+    sol = solve_lp(model)
+    assert verdicts == [False, True]  # rejected once, then re-solved
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(reference_lp_optimum(model), abs=1e-9)
+    assert not constraint_violations(model, sol.values, tol=1e-6)
 
 
 def _lp(model):
@@ -582,6 +603,40 @@ def test_warm_child_matches_cold_on_random_markets(inst, kind):
         spy = _WarmSolves(monkeypatch)
         _check_warm_children(build(inst, kind), spy)
         assert spy.clean_up_pivots == 0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_shared_start_leaves_its_tableau_for_the_sibling(kind):
+    # a node's child x_j = 0 runs on a copy of the node's tableau, kept or
+    # factorised afresh, and child x_j = 1 takes that tableau over; each
+    # must reach its cold solve's answer, and the copy's pivots must leave
+    # the shared tableau as it was
+    for inst in _markets():
+        lp, prices, int_idx, _ = _lp(build(inst, kind))
+        root = lp.solve(start_at_upper=prices, keep_tableau=True)
+        # the first branch shares the root's kept tableau, every later one a
+        # tableau factorised afresh from the root's basis
+        for j in _fractional(root.x, int_idx)[:3]:
+            kept = root.tableau
+            before = None if kept is None else [a.tobytes() for a in kept]
+            child0 = lp.solve(
+                *_fixed(lp, j, 0.0), start_at_upper=prices, start_from=root,
+                share_start=True,
+            )
+            assert root.tableau is not None
+            if kept is not None:
+                assert root.tableau is kept
+                assert [a.tobytes() for a in kept] == before
+            child1 = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices, start_from=root)
+            assert root.tableau is None  # taken over
+            for value, warm in ((0.0, child0), (1.0, child1)):
+                cold = lp.solve(*_fixed(lp, j, value), start_at_upper=prices)
+                assert warm.status == cold.status
+                if cold.status == "optimal":
+                    assert warm.objective == pytest.approx(
+                        cold.objective, abs=1e-9 * max(1.0, abs(cold.objective))
+                    )
+        assert lp.singular_blocks == 0
 
 
 def _copied(result):

@@ -1,7 +1,8 @@
 import dataclasses
+import itertools
 import logging
 import math
-import time
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from efp import solver
+from efp import simplex, solver
 from efp.allocation import is_envy_free
 from efp.benchmark import run_benchmark
 from efp.core import validate_instance
@@ -181,6 +182,67 @@ def test_node_limit_reports_honest_bound():
         assert limited.status == "feasible"
 
 
+def test_node_limit_at_the_roots_children_reports_the_better_child(monkeypatch):
+    # node_limit=3 stops after the root and its two children: the better
+    # child, pending as the next dive node, must stay in the open set, or the
+    # bound falls to its sibling's 549.05, still above the optimum 537.22
+    inst = generate("popularity", preset("popularity", 15), 0)
+    solve, lps = solver.SimplexSolver.solve, []
+
+    def record(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        lps.append(result)
+        return result
+
+    monkeypatch.setattr(solver.SimplexSolver, "solve", record)
+    result = solve_mip(build(inst, FormulationKind.U), inst, node_limit=3)
+    root, *children = lps
+    assert result.nodes == len(children) + 1 == 3
+    assert [child.status for child in children] == ["optimal", "optimal"]
+    offset = result.root_relaxation - root.objective  # the presolve's fixed columns
+    bounds = sorted(child.objective + offset for child in children)
+    assert bounds[0] > result.incumbent_value  # both children stay open
+    assert result.status == "feasible"
+    assert result.bound == bounds[1]
+    assert result.bound == pytest.approx(575.466123724, abs=1e-6)
+
+
+def test_no_node_on_the_heap_holds_a_tableau(monkeypatch):
+    # only the node a dive expands next keeps its LP's tableau, so memory
+    # stays at a few tableaus however many nodes are open
+    pushed = []
+    heappush = solver.heapq.heappush
+
+    def spy(heap, node):
+        pushed.append(node[4].tableau is None and node[4].basis is not None)
+        heappush(heap, node)
+
+    monkeypatch.setattr(solver.heapq, "heappush", spy)
+    inst = generate("characteristics", preset("characteristics", 8), 0)
+    model = build(inst, FormulationKind.STM)
+    for limits in ({}, {"node_limit": 9}, {"node_limit": 10}):
+        pushed.clear()
+        solve_mip(model, inst, **limits)
+        assert len(pushed) >= 3 and all(pushed), limits
+
+
+def test_criterion_10_markets_close_at_the_reference_optimum():
+    # the ten U markets at n=15 that criterion 10 solves, each closed and
+    # equal to HiGHS: a search that ends early at a wrong optimum fails here
+    schedule = [("popularity", s) for s in range(4)]
+    schedule += [("characteristics", s) for s in range(3)]
+    schedule += [("neighborhood", s) for s in range(3)]
+    for model_name, seed in schedule:
+        inst = generate(model_name, preset(model_name, 15), seed)
+        model = build(inst, FormulationKind.U)
+        result = solve_mip(model, inst)
+        optimum = reference_mip_optimum(model)
+        assert result.status == "optimal", (model_name, seed)
+        assert result.incumbent_value == pytest.approx(
+            optimum, abs=1e-6 * max(1.0, abs(optimum))
+        ), (model_name, seed)
+
+
 def test_time_limit_reports_feasible():
     inst = generate("popularity", preset("popularity", 20), 1)
     result = solve_mip(build(inst, FormulationKind.STM), inst, time_limit=0.001)
@@ -189,17 +251,23 @@ def test_time_limit_reports_feasible():
     assert result.bound >= result.incumbent_value - 1e-6
 
 
-def test_time_limit_holds_inside_the_root_lp():
+def test_time_limit_holds_inside_the_root_lp(monkeypatch):
+    # the clock advances one tick at each reading, and the pivot loops read
+    # it once a pivot, so time is counted in pivots whatever the machine:
     # this market's root LP alone runs at least ten times the limit
+    tick, limit = 1e-4, 0.01
+    ticks = itertools.count()
+    clock = types.SimpleNamespace(perf_counter=lambda: next(ticks) * tick)
+    for module in (solver, simplex):
+        monkeypatch.setattr(module, "time", clock)
     inst = generate("popularity", preset("popularity", 30), 0)
     model = build(inst, FormulationKind.STM)
-    limit = 0.01
-    start = time.perf_counter()
-    assert solve_lp(model).status == "optimal"
-    assert time.perf_counter() - start >= 10 * limit
-    start = time.perf_counter()
+    lp = solve_lp(model)
+    assert lp.status == "optimal"
+    assert lp.iterations * tick >= 10 * limit
+    start = clock.perf_counter()
     result = solve_mip(model, inst, time_limit=limit)
-    assert time.perf_counter() - start < 1.0
+    assert clock.perf_counter() - start < 1.0
     assert result.status == "feasible"
     assert result.bound == math.inf
     assert math.isnan(result.root_relaxation)
@@ -274,6 +342,33 @@ def test_debug_log_names_each_lps_fate(caplog, fig1):
     assert any("closed by bound" in msg and "cutoff" in msg for msg in fates)
     pops = [r.getMessage() for r in caplog.records if r.getMessage().startswith("node ")]
     assert pops[0] == "node of LP 1 branches on x_1_1"
+    # the root is the first dive, and fig1's search never leaves it
+    sources = [r.getMessage() for r in caplog.records if r.getMessage().startswith("dive ")]
+    assert sources == ["dive reaches node of LP 1", "dive reaches node of LP 2"]
+
+    # a longer search: each expanded node is named with where it came from,
+    # the dive or the heap, right before it branches or is found integral
+    inst = generate("characteristics", preset("characteristics", 8), 0)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="efp.solver"):
+        result = solve_mip(build(inst, FormulationKind.U), inst)
+    assert result.status == "optimal"
+    messages = [r.getMessage() for r in caplog.records]
+    expanded = [k for k, msg in enumerate(messages) if msg.startswith("node of LP ")]
+    assert expanded
+    for k in expanded:
+        number = messages[k].split()[3]
+        assert messages[k - 1] in (
+            f"dive reaches node of LP {number}", f"heap pops node of LP {number}",
+        )
+    assert any(msg.startswith("heap pops node of LP ") for msg in messages)
+    # a dive node the incumbent caught up with is dropped by name, and was
+    # kept open when its LP was solved
+    dropped = [msg for msg in messages if msg.startswith("dive node of LP ")]
+    assert dropped
+    for msg in dropped:
+        assert "dropped by bound" in msg and "cutoff" in msg
+        assert f"LP {msg.split()[4]} kept open at bound" in "\n".join(messages)
 
 
 @pytest.mark.parametrize(
