@@ -56,7 +56,13 @@ def best_response(
     Items the bidder values at zero never beat that: their utility is -p <= 0.
     """
     _check_dims(inst, pricing)
-    prices = pricing.prices
+    return _best_response(inst, pricing.prices, bidder)
+
+
+def _best_response(
+    inst: Instance, prices: tuple[float, ...], bidder: int
+) -> Optional[tuple[int, float]]:
+    """best_response on prices already checked against the instance."""
     best: Optional[tuple[int, float]] = None
     for item, value in inst.by_bidder[bidder]:
         utility = value - prices[item]
@@ -79,7 +85,7 @@ def envy_free_allocation(inst: Instance, pricing: Pricing) -> Outcome:
     utilities: list[float] = []
     profit = 0.0
     for b in range(inst.num_bidders):
-        choice = best_response(inst, pricing, b)
+        choice = _best_response(inst, pricing.prices, b)
         if choice is None:
             assignment.append(None)
             utilities.append(0.0)
@@ -112,7 +118,9 @@ def is_envy_free(
             utility = 0.0
         else:
             if not 0 <= assigned < inst.num_items:
-                raise ValueError(f"bidder {b} assigned out-of-range item {assigned}")
+                raise ValueError(
+                    f"bidder {b + 1} assigned out-of-range item {assigned + 1}"
+                )
             utility = inst.value(assigned, b) - pricing[assigned]
         if utility < -TOLERANCE:
             violations.append(EnvyViolation(b, assigned, -utility))

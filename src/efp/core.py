@@ -19,12 +19,18 @@ TOLERANCE = 1e-9
 
 
 class InstanceError(ValueError):
-    """Invalid market instance data."""
+    """Invalid market instance data.
+
+    Messages name items and bidders 1-based, as Pricing, the file format and
+    the CLI do; the item and bidder attributes stay 0-based.
+    """
 
 
 class DuplicateEdgeError(InstanceError):
     def __init__(self, item: int, bidder: int) -> None:
-        super().__init__(f"duplicate valuation for item {item}, bidder {bidder}")
+        super().__init__(
+            f"duplicate valuation for item {item + 1}, bidder {bidder + 1}"
+        )
         self.item = item
         self.bidder = bidder
 
@@ -32,8 +38,8 @@ class DuplicateEdgeError(InstanceError):
 class NonPositiveValueError(InstanceError):
     def __init__(self, item: int, bidder: int, value: float) -> None:
         super().__init__(
-            f"valuation for item {item}, bidder {bidder} must be positive and finite, "
-            f"got {value}"
+            f"valuation for item {item + 1}, bidder {bidder + 1} must be positive "
+            f"and finite, got {value}"
         )
         self.item = item
         self.bidder = bidder
@@ -43,7 +49,8 @@ class NonPositiveValueError(InstanceError):
 class IndexOutOfRangeError(InstanceError):
     def __init__(self, item: int, bidder: int, num_items: int, num_bidders: int) -> None:
         super().__init__(
-            f"edge ({item}, {bidder}) outside {num_items} items x {num_bidders} bidders"
+            f"edge ({item + 1}, {bidder + 1}) outside {num_items} items x "
+            f"{num_bidders} bidders"
         )
         self.item = item
         self.bidder = bidder

@@ -16,14 +16,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .core import (
-    DuplicateEdgeError,
-    IndexOutOfRangeError,
-    Instance,
-    InstanceError,
-    NonPositiveValueError,
-    validate_instance,
-)
+from .core import Instance, InstanceError, validate_instance
 
 FORMAT_VERSION = 1
 
@@ -103,18 +96,7 @@ def parse_instance(text: str) -> Instance:
     try:
         return validate_instance(num_items, num_bidders, numbered())
     except InstanceError as exc:
-        raise FormatError(at, _in_file_indices(exc, num_items, num_bidders)) from exc
-
-
-def _in_file_indices(exc: InstanceError, num_items: int, num_bidders: int) -> str:
-    """The message of a validation error, with the file's 1-based indices."""
-    if isinstance(exc, IndexOutOfRangeError):
-        exc = IndexOutOfRangeError(exc.item + 1, exc.bidder + 1, num_items, num_bidders)
-    elif isinstance(exc, DuplicateEdgeError):
-        exc = DuplicateEdgeError(exc.item + 1, exc.bidder + 1)
-    elif isinstance(exc, NonPositiveValueError):
-        exc = NonPositiveValueError(exc.item + 1, exc.bidder + 1, exc.value)
-    return str(exc)
+        raise FormatError(at, str(exc)) from exc
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:

@@ -25,9 +25,10 @@ three steps, each written once.
    bounds, which leaves only basic values out of bounds.  Without a stored
    basis, or when its block is singular or ill-conditioned (counted in
    ``singular_blocks``), the start is the slack basis, every logical basic,
-   with a crash start that can place selected variables at their upper
-   bound; for the pricing models that makes the slack basis feasible.  A
-   warm start that ends "infeasible" is confirmed by this cold start.
+   with the LP's crash start: the structurals the solver was built with in
+   ``start_at_upper`` rest at their upper bound, which for the pricing
+   models makes the slack basis feasible.  A warm start that ends
+   "infeasible" is confirmed by this cold start.
 2. Optimise.  One driver runs the bounded dual simplex, then the primal
    loop.  Reduced costs do not depend on bounds, so a stored basis stays
    dual feasible, and the dual loop clears its bound violations: the row
@@ -44,23 +45,26 @@ three steps, each written once.
    therefore checked against the rows and bounds, and its basis against
    reduced costs computed afresh from the tableau (_priced_out), before it
    is returned; one that fails is re-optimised once from its own basis,
-   factorised afresh (from the slack basis if that block is singular), and a
-   second failure is status "numerical" with the first point.  An optimal
-   result carries its final basis.
+   factorised afresh (from the plain slack basis, without the crash start,
+   if that block is singular), and a second failure is status "numerical"
+   with the first point.  An optimal result carries its final basis, and
+   holds its final tableau until a later solve takes it over or its owner
+   drops it.
 
 Pricing is Devex (approximate steepest edge); Bland's rule engages after a
 run of degenerate pivots to guarantee termination, in both loops (every
-phase-1 pivot is degenerate in the zero objective).  A deadline (an
-absolute ``time.perf_counter()`` value) is checked once per pivot; a loop
-that passes it stops with status "time-limit".  A is held once, sparse
-(CSR; a dense A is converted on entry), with >= rows folded in by a +-1 row
-sign.  Only the tableau is dense, kept Fortran-ordered so the rank-1 pivot
-update runs as a BLAS ger call in place; desk-scale models stay within a
-few thousand columns.  On a large tableau whose pivot row is sparse, the
-update gathers the columns the row reaches, runs ger on those alone and
-scatters them back (_reach); the rest would only have had +-0.0 added.  The
-pricing LPs are sparse: a pivot row of the presolved n=50 U root (950 x
-500) holds about 1% nonzeros.
+phase-1 pivot is degenerate in the zero objective).  A deadline (an absolute
+``time.perf_counter()`` value) is checked once per pivot; a loop that passes
+it stops with status "time-limit".  One solve() call makes at most
+MAX_ITERATIONS pivots over all its runs, or stops with status
+"iteration-limit".  A is held once, sparse (CSR; a dense A is converted on
+entry), with >= rows folded in by a +-1 row sign.  Only the tableau is dense,
+kept Fortran-ordered so the rank-1 pivot update runs as a BLAS ger call in
+place; desk-scale models stay within a few thousand columns.  On a large
+tableau whose pivot row is sparse, the update gathers the columns the row
+reaches, runs ger on those alone and scatters them back (_reach); the rest
+would only have had +-0.0 added.  The pricing LPs are sparse: a pivot row of
+the presolved n=50 U root (950 x 500) holds about 1% nonzeros.
 
 The tableau is condensed (a dictionary, as in Chvatal's *Linear
 Programming*): it keeps B^-1 A_N, one column per nonbasic slot, and not the
@@ -100,6 +104,7 @@ OPTIMALITY_TOL = 1e-7
 PIVOT_TOL = 1e-9
 DEGENERATE_STEP = 1e-9
 BLAND_TRIGGER = 1000
+MAX_ITERATIONS = 10**6  # pivots one solve() call may make, over all its runs
 RESIDUAL_TOL = 1e-6  # relative row and bound slack an "optimal" x may show
 
 _LOWER, _UPPER, _BASIC = 0, 1, 2
@@ -125,8 +130,8 @@ class SimplexResult:
     objective: float
     x: np.ndarray | None
     iterations: int
-    # the final tableau of an optimal solve asked to keep it, until a
-    # start_from solve takes it over; a share_start solve leaves it here
+    # the final tableau of an optimal solve, until a start_from solve takes
+    # it over or the result's owner drops it; a share_start solve leaves it
     tableau: _Tableau | None = field(default=None, repr=False, compare=False)
     # an optimal solve's final basis: one status per structural, then per
     # row's logical
@@ -135,10 +140,12 @@ class SimplexResult:
 
 class SimplexSolver:
     """Reusable standard-form data; each solve() call builds its own tableau,
-    takes over a kept one or rebuilds one from a stored basis (start_from).
+    takes over a held one or rebuilds one from a stored basis (start_from).
 
     Bounds passed to solve() override the stored ones, which is how
-    branch-and-bound fixes binaries without rebuilding the matrix.
+    branch-and-bound fixes binaries without rebuilding the matrix.  The
+    crash start, start_at_upper, is part of the LP: a mask over the
+    structurals, kept as given, that every cold start reads.
     """
 
     def __init__(
@@ -149,6 +156,7 @@ class SimplexSolver:
         b: np.ndarray,
         lb: np.ndarray,
         ub: np.ndarray,
+        start_at_upper: np.ndarray | None = None,
     ) -> None:
         self.nvars = len(c)
         self.c = np.asarray(c, dtype=float)
@@ -173,62 +181,65 @@ class SimplexSolver:
         self._rows = np.repeat(np.arange(len(kind)), np.diff(self.A.indptr))
         self._data = self.row_sign[self._rows] * self.A.data
         self.singular_blocks = 0  # stored bases that could not be factorised
+        # the crash start of every cold start: structurals flagged here rest
+        # at their upper bound, where it is finite
+        self.start_at_upper = start_at_upper
 
     def solve(
         self,
         lb: np.ndarray | None = None,
         ub: np.ndarray | None = None,
         *,
-        start_at_upper: np.ndarray | None = None,
-        max_iterations: int = 10**6,
         deadline: float | None = None,
         start_from: SimplexResult | None = None,
-        keep_tableau: bool = False,
         share_start: bool = False,
     ) -> SimplexResult:
         """Solve under optional bound overrides in three steps.
 
-        Start: start_from is an earlier result of this solver.  If it kept
-        its tableau (keep_tableau=True), that tableau is taken from it and
-        re-optimised in place under the new bounds; otherwise start_from's
-        basis is factorised afresh.  With share_start, start_from keeps that
-        tableau, the kept or the fresh one, and the solve runs on a copy, so
-        that a second solve from start_from can take it over; this is how
-        both children of a branch-and-bound node start from the node's
-        tableau at the cost of at most one factorisation.  Without a
-        start_from, when its basis is missing or singular, or when the warm
-        start ends "infeasible", the solve starts cold from the slack basis,
-        crash-started by start_at_upper.  Optimise: _optimise runs the dual
-        loop, then the primal loop.  Check: an "optimal" x that breaks a row
-        or bound, or whose basis prices a slot in under reduced costs
-        computed afresh, is re-optimised once from its own basis, factorised
-        afresh (from the slack basis if that basis is singular); a second
-        failure is "numerical", with the first point.  deadline is an
-        absolute time.perf_counter() value.
+        Start: start_from is an earlier result of this solver.  If it still
+        holds its tableau, that tableau is taken from it and re-optimised in
+        place under the new bounds; otherwise start_from's basis is
+        factorised afresh.  With share_start, start_from keeps that tableau,
+        the held or the fresh one, and the solve runs on a copy, so that a
+        second solve from start_from can take it over; this is how both
+        children of a branch-and-bound node start from the node's tableau at
+        the cost of at most one factorisation.  Without a start_from, when
+        its basis is missing or singular, or when the warm start ends
+        "infeasible", the solve starts cold from the slack basis,
+        crash-started by the solver's start_at_upper.  Optimise: _optimise
+        runs the dual loop, then the primal loop.  Check: an "optimal" x that
+        breaks a row or bound, or whose basis prices a slot in under reduced
+        costs computed afresh, is re-optimised once from its own basis,
+        factorised afresh (from the plain slack basis if that basis is
+        singular); a second failure is "numerical", with the first point.
+        An optimal result holds its final tableau until a start_from solve
+        takes it over or its owner drops it.  All runs of one call together
+        make at most MAX_ITERATIONS pivots, read at the call.  deadline is
+        an absolute time.perf_counter() value.
         """
         lob = self.lb if lb is None else np.asarray(lb, dtype=float)
         upb = self.ub if ub is None else np.asarray(ub, dtype=float)
         if np.any(upb - lob < -1e-12):
             return SimplexResult("infeasible", float("nan"), None, 0)
+        cap = MAX_ITERATIONS
         result = None
         if start_from is not None:
-            result = self._resolve(
-                start_from, lob, upb, max_iterations, deadline, share_start
-            )
+            result = self._resolve(start_from, lob, upb, cap, deadline, share_start)
         if result is None or result.status == "infeasible":
             # a warm "infeasible" is confirmed by the cold start
             spent = 0 if result is None else result.iterations
-            budget = max_iterations - spent
-            cold = self._solve(lob, upb, start_at_upper, budget, deadline)
+            cold = self._solve(lob, upb, self.start_at_upper, cap - spent, deadline)
             result = replace(cold, iterations=spent + cold.iterations)
         if result.status == "optimal" and not (
             self._feasible(result.x, lob, upb) and self._priced_out(result.tableau)
         ):
             # one retry, from the rejected basis factorised afresh
             result.tableau = None  # one tableau alive at a time
-            budget = max_iterations - result.iterations
+            budget = cap - result.iterations
             retry = self._resolve(result, lob, upb, budget, deadline)
             if retry is None:
+                # the plain slack basis: the crash start could replay the
+                # run that drifted
                 retry = self._solve(lob, upb, None, budget, deadline)
             iterations = result.iterations + retry.iterations
             if (
@@ -240,8 +251,6 @@ class SimplexSolver:
                 result = SimplexResult(
                     "numerical", result.objective, result.x, iterations
                 )
-        if not keep_tableau:
-            result.tableau = None
         return result
 
     def _feasible(self, x: np.ndarray, lob: np.ndarray, upb: np.ndarray) -> bool:
@@ -273,9 +282,10 @@ class SimplexSolver:
         max_iterations: int,
         deadline: float | None,
     ) -> SimplexResult:
-        """Optimise from the slack basis, crash-started: the flagged
-        structurals rest at their upper bound, which can make the start point
-        feasible.  Phase 1 is the dual loop on a zero objective."""
+        """Optimise from the slack basis, crash-started: the structurals
+        flagged in start_at_upper (None flags none) rest at their upper
+        bound, which can make the start point feasible.  Phase 1 is the dual
+        loop on a zero objective."""
         nv = self.nvars
         span = np.maximum(upb - lob, 0.0)
         crash = np.full(nv + len(self.b), _BASIC, dtype=np.int8)

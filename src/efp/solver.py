@@ -1,12 +1,13 @@
 """LP and MIP solving for the pricing formulations.
 
 solve_lp and solve_mip share one set-up: the model's arrays, a presolve that
-fixes dominated columns and drops rows that can never bind, the simplex
-built on what is left, and the price columns, which crash-start at their
-upper bound and feed the heuristic.  The presolve keeps the LP's value at
-every branch-and-bound node; every x it returns, and every objective, is
-mapped back to the model's full length.  solve_lp evaluates a model's linear
-relaxation.
+fixes dominated columns and drops rows that can never bind, and the simplex
+built on what is left, crash-started at the price columns, which sit at
+their upper bound in every cold start and feed the heuristic.  The presolve
+keeps the LP's value at every branch-and-bound node; every x it returns, and
+every objective, is mapped back to the model's full length.  solve_lp
+evaluates a model's linear relaxation.
+
 solve_mip runs best-bound branch-and-bound with plunging on the binary
 assignment variables.  Every LP, the root included, passes through one node
 step: primal_heuristic turns its fractional prices into the greedy
@@ -16,18 +17,24 @@ cutoff) or kept open.  The search returns from one block after its loop, the
 infeasible root included.  After a node's two children, the better one kept
 open (higher bound, then lower LP number) is expanded next, a dive, and the
 other goes on the heap; a dive ends when neither child is kept open, and the
-best bound is popped.  The root is the first dive.  A node on the heap keeps
-only its LP's optimal basis; the node a dive expands next also keeps its
-final tableau.  Both children of a node start from the node's tableau:
-child x_j = 0 from a copy, child x_j = 1 from the tableau itself.  A node
-popped from the heap gets that tableau from one factorisation of its basis,
-inside the solve of its child x_j = 0; the simplex's dual re-solve takes
-each child from there.  Only the root LP is solved cold.  An LP counts as
-optimal only after it passes the simplex's row, bound and reduced-cost
-checks; otherwise it is "numerical" and its bound is not trusted.  The time
-limit is a deadline inside every LP as well as between nodes.  compare_relaxations evaluates all five relaxations
-of an instance and flags any breach of the proven ordering LR_I <= LR_STM
-and LR_I <= LR_L <= LR_P <= LR_U as a solver bug.
+best bound is popped.  The root is the first dive.
+
+The search alone decides which tableaus live.  Every optimal LP result holds
+its final tableau; the node step drops a closed LP's, and shelving a node on
+the heap drops its tableau too, so a node on the heap keeps only its LP's
+optimal basis, and only the node a dive expands next keeps its tableau.
+Both children of a node start from the node's tableau: child x_j = 0 from a
+copy, child x_j = 1 from the tableau itself.  A node popped from the heap
+gets that tableau from one factorisation of its basis, inside the solve of
+its child x_j = 0; the simplex's dual re-solve takes each child from there.
+Only the root LP is solved cold.  An LP counts as optimal only after it
+passes the simplex's row, bound and reduced-cost checks; otherwise it is
+"numerical" and its bound is not trusted.  The time limit is a deadline
+inside every LP as well as between nodes.
+
+compare_relaxations evaluates all five relaxations of an instance and flags
+any breach of the proven ordering LR_I <= LR_STM and LR_I <= LR_L <= LR_P <=
+LR_U as a solver bug.
 """
 
 from __future__ import annotations
@@ -213,8 +220,7 @@ def _presolve(c, A, senses, b, lb, ub, integer):
 class _Setup(NamedTuple):
     """One model's presolved LP and the way back to the model's columns."""
 
-    lp: SimplexSolver  # on the kept columns and rows only
-    start: np.ndarray  # the lp's price columns: its crash start
+    lp: SimplexSolver  # on the kept columns and rows only, crash-started at its prices
     binaries: np.ndarray  # the lp's binary columns
     columns: np.ndarray  # model position of each lp column
     fixed_x: np.ndarray  # full-length x: fixed columns at their value, 0 elsewhere
@@ -228,15 +234,15 @@ class _Setup(NamedTuple):
 
 
 def _setup(model: MipModel) -> _Setup:
-    """The presolved LP of one model, its price columns and binary positions.
+    """The presolved LP of one model and its binary positions.
 
     The LP keeps the columns and rows _presolve leaves, so its objective
     lacks the fixed columns' offset and full() maps its x back.  A is taken
-    with each row's entries sorted, the canonical CSR form.  The model's
-    price columns double as the crash start: every envy-style row holds
-    when each price sits at the item's maximum valuation, so the slack basis
-    is feasible and phase 1 (the dual loop on a zero objective) makes no
-    pivot whenever the price cap is active.
+    with each row's entries sorted, the canonical CSR form.  The LP is built
+    with the model's price columns as its crash start: every envy-style row
+    holds when each price sits at the item's maximum valuation, so the slack
+    basis is feasible and phase 1 (the dual loop on a zero objective) makes
+    no pivot whenever the price cap is active.
     """
     c, A, b, lb, ub = model.c, model.A.sorted_indices(), model.b, model.lb, model.ub
     fixed, rows = _presolve(c, A, model.senses, b, lb, ub, model.integer)
@@ -245,16 +251,16 @@ def _setup(model: MipModel) -> _Setup:
     lp = SimplexSolver(
         c[columns], A[np.flatnonzero(rows)][:, columns],
         list(compress(model.senses, rows)), (b - A @ fixed_x)[rows],
-        lb[columns], ub[columns],
+        lb[columns], ub[columns], np.isin(columns, model.prices),
     )
-    start, binaries = np.isin(columns, model.prices), np.flatnonzero(model.integer[columns])
-    return _Setup(lp, start, binaries, columns, fixed_x, float(c @ fixed_x))
+    binaries = np.flatnonzero(model.integer[columns])
+    return _Setup(lp, binaries, columns, fixed_x, float(c @ fixed_x))
 
 
 def solve_lp(model: MipModel) -> LpSolution:
     """Solve the linear relaxation of a model (integrality is ignored)."""
     s = _setup(model)
-    res = s.lp.solve(start_at_upper=s.start)
+    res = s.lp.solve()
     support = nonzeros = None
     if res.x is not None:
         x = s.full(res.x)
@@ -394,7 +400,7 @@ def solve_mip(
         node[4].tableau = None
         heapq.heappush(open_nodes, node)
 
-    root = s.lp.solve(start_at_upper=s.start, deadline=deadline, keep_tableau=True)
+    root = s.lp.solve(deadline=deadline)
     root_seconds = time.perf_counter() - start
     dive = visit(root, s.lp.lb, s.lp.ub)  # the root is the first dive
     if root.status == "time-limit":
@@ -435,8 +441,8 @@ def solve_mip(
             child_lb[branch] = fixed
             child_ub[branch] = fixed
             child = s.lp.solve(
-                child_lb, child_ub, start_at_upper=s.start, deadline=deadline,
-                start_from=res, keep_tableau=True, share_start=fixed == 0.0,
+                child_lb, child_ub, deadline=deadline, start_from=res,
+                share_start=fixed == 0.0,
             )
             kept = visit(child, child_lb, child_ub)
             if child.status == "time-limit":

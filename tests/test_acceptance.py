@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from efp import simplex
 from efp.allocation import allocation_brute_force, envy_free_allocation, profit
 from efp.benchmark import BENCHMARK_COLUMNS
 from efp.core import Pricing
@@ -336,13 +337,15 @@ def test_criterion_10_desk_scale_performance():
         names, c, A, senses, b, lb, ub, _ = model_arrays(
             build(inst, FormulationKind.STM)
         )
-        solver = SimplexSolver(c, A, senses, b, lb, ub)
         import numpy as np
 
         crash = np.array([n.startswith("p_") for n in names])
-        start = time.perf_counter()
-        stm_res = solver.solve(start_at_upper=crash, max_iterations=600)
-        stm_time = time.perf_counter() - start
+        solver = SimplexSolver(c, A, senses, b, lb, ub, start_at_upper=crash)
+        with pytest.MonkeyPatch.context() as censor:
+            censor.setattr(simplex, "MAX_ITERATIONS", 600)
+            start = time.perf_counter()
+            stm_res = solver.solve()
+            stm_time = time.perf_counter() - start
         # a censored run means the true time is even larger than measured
         if u_time < stm_time:
             faster += 1

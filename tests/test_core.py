@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from efp.core import (
@@ -40,6 +42,14 @@ def test_non_positive_value_rejected(value):
         validate_instance(2, 2, [(0, 0, value), (1, 1, 3.0)])
     with pytest.raises(NonPositiveValueError, match="positive and finite"):
         Instance(2, 2, {(0, 0): value})
+
+
+def test_messages_name_items_and_bidders_1_based():
+    # the message counts from 1, as files, prices and the CLI do; the
+    # attributes keep the API's 0-based indices
+    with pytest.raises(NonPositiveValueError, match="item 1, bidder 2") as err:
+        validate_instance(1, 2, [(0, 1, math.inf)])
+    assert (err.value.item, err.value.bidder) == (0, 1)
 
 
 @pytest.mark.parametrize("edge", [(2, 0, 1.0), (0, 2, 1.0), (-1, 0, 1.0)])

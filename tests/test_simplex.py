@@ -110,9 +110,10 @@ def test_unbounded():
         assert s.solve().status == "unbounded"
 
 
-def test_iteration_limit():
-    lp, start, _, _ = _lp(build(make_fig1(), "STM"))
-    res = lp.solve(start_at_upper=start, max_iterations=1)
+def test_iteration_limit(monkeypatch):
+    lp, _, _ = _lp(build(make_fig1(), "STM"))
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 1)
+    res = lp.solve()
     assert res.status == "iteration-limit"
     assert res.iterations == 1
 
@@ -299,9 +300,9 @@ def test_slack_basis_tableau_matches_row_loop():
 def test_crash_start_agrees():
     model = build(make_fig1(), "U")
     names, c, A, senses, b, lb, ub, _ = model_arrays(model)
-    solver = SimplexSolver(c, A, senses, b, lb, ub)
-    cold = solver.solve()
-    crash = solver.solve(start_at_upper=np.array([n.startswith("p_") for n in names]))
+    cold = SimplexSolver(c, A, senses, b, lb, ub).solve()
+    prices = np.array([n.startswith("p_") for n in names])
+    crash = SimplexSolver(c, A, senses, b, lb, ub, start_at_upper=prices).solve()
     assert crash.status == "optimal"
     assert crash.objective == pytest.approx(cold.objective, abs=1e-7)
 
@@ -353,10 +354,11 @@ def test_drifted_reduced_costs_are_re_solved(monkeypatch):
 
 
 def _lp(model):
-    """The solver, price mask and binary columns solve_mip uses for a model,
-    and the model name of each of the solver's columns."""
+    """The solver and binary columns solve_mip uses for a model, and the
+    model name of each of the solver's columns.  The solver's crash start,
+    lp.start_at_upper, is the price mask."""
     s = solver_module._setup(model)
-    return s.lp, s.start, s.binaries, [model.names[k] for k in s.columns]
+    return s.lp, s.binaries, [model.names[k] for k in s.columns]
 
 
 def _fixed(lp, j, value):
@@ -410,8 +412,8 @@ def _assert_rebuilt_matches_kept(lp, kept, basis):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_rebuilt_tableau_matches_the_kept_one(kind):
     for inst in _markets():
-        lp, prices, _, _ = _lp(build(inst, kind))
-        root = lp.solve(start_at_upper=prices, keep_tableau=True)
+        lp, _, _ = _lp(build(inst, kind))
+        root = lp.solve()
         assert root.status == "optimal"
         _assert_rebuilt_matches_kept(lp, root.tableau, root.basis)
 
@@ -422,7 +424,7 @@ def test_basis_maps_every_row_to_its_logical():
     # three logicals basic at 0
     c, A, senses, b = [2, 1], [[1, 1], [1, 1], [1, 0]], ["=", ">=", "<="], [2, 2, 1.5]
     for lp in _solvers(c, A, senses, b, [0, 0], [np.inf] * 2):
-        root = lp.solve(keep_tableau=True)
+        root = lp.solve()
         assert root.status == "optimal" and root.objective == pytest.approx(3.5)
         kept = root.tableau
         # x and y basic, the = row's and the <= row's logicals nonbasic
@@ -441,10 +443,12 @@ def test_basis_maps_every_row_to_its_logical():
 
 @pytest.mark.parametrize("breakdown", ["singular", "ill-conditioned"])
 def test_singular_block_falls_back_to_the_cold_solve(monkeypatch, breakdown):
-    lp, prices, int_idx, _ = _lp(build(make_fig1(), FormulationKind.U))
-    root = lp.solve(start_at_upper=prices)
+    lp, int_idx, _ = _lp(build(make_fig1(), FormulationKind.U))
+    prices = lp.start_at_upper
+    root = lp.solve()
+    root.tableau = None  # the warm start factorises the root's basis
     bounds = _fixed(lp, _fractional(root.x, int_idx)[0], 0.0)
-    cold = lp.solve(*bounds, start_at_upper=prices)
+    cold = lp.solve(*bounds)
     if breakdown == "singular":
         getrf = simplex.dgetrf
         monkeypatch.setattr(simplex, "dgetrf", lambda a, **kw: (*getrf(a, **kw)[:2], 1))
@@ -457,7 +461,7 @@ def test_singular_block_falls_back_to_the_cold_solve(monkeypatch, breakdown):
         return solve(self, lob, upb, start_at_upper, *args)
 
     monkeypatch.setattr(SimplexSolver, "_solve", spy_solve)
-    warm = lp.solve(*bounds, start_at_upper=prices, start_from=root)
+    warm = lp.solve(*bounds, start_from=root)
     assert lp.singular_blocks == 1
     assert len(starts) == 1 and starts[0] is prices
     assert (warm.status, warm.objective, warm.iterations) == (
@@ -474,28 +478,30 @@ def test_singular_block_falls_back_to_the_cold_solve(monkeypatch, breakdown):
 
     monkeypatch.setattr(SimplexSolver, "_feasible", reject_first_point)
     starts.clear()
-    retried = lp.solve(*bounds, start_at_upper=prices)
+    retried = lp.solve(*bounds)
     assert lp.singular_blocks == 2
     assert len(starts) == 2 and starts[0] is prices and starts[1] is None
     assert retried.status == "optimal"
     assert retried.objective == pytest.approx(cold.objective, abs=1e-9)
 
 
-def _warm_child(lp, prices, j):
-    """Child x_j = 0 cold, then child x_j = 1 warm from it."""
-    child0 = lp.solve(*_fixed(lp, j, 0.0), start_at_upper=prices, keep_tableau=True)
-    warm = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices, start_from=child0)
-    assert child0.tableau is None and warm.tableau is None  # taken, not kept
+def _warm_child(lp, j):
+    """Child x_j = 0 cold, then child x_j = 1 warm from its final tableau."""
+    child0 = lp.solve(*_fixed(lp, j, 0.0))
+    warm = lp.solve(*_fixed(lp, j, 1.0), start_from=child0)
+    assert child0.tableau is None  # taken over
+    # an optimal result holds its final tableau, any other none
+    assert (warm.tableau is None) == (warm.status != "optimal")
     return warm
 
 
-def _warm_solves(lp, prices, j, root):
+def _warm_solves(lp, j, root):
     """Children x_j = 0 and x_j = 1 from the root's basis, then x_j = 1 from
-    its sibling's kept tableau, each with the value x_j is fixed at."""
+    its sibling's final tableau, each with the value x_j is fixed at."""
     for value in (0.0, 1.0):
         bounds = _fixed(lp, j, value)
-        yield value, lp.solve(*bounds, start_at_upper=prices, start_from=root)
-    yield 1.0, _warm_child(lp, prices, j)
+        yield value, lp.solve(*bounds, start_from=root)
+    yield 1.0, _warm_child(lp, j)
 
 
 class _WarmSolves:
@@ -533,17 +539,18 @@ def _check_warm_children(model, spy, reference=False):
     """Every fractional binary's warm children against their cold solves.
 
     Both children start from the root's basis, factorised afresh, and child
-    x_j = 1 also from its sibling's kept tableau.  Each warm re-solve must
+    x_j = 1 also from its sibling's final tableau.  Each warm re-solve must
     reach the cold status by itself: a cold fallback would hide a wrong
     warm answer.
     """
-    lp, prices, int_idx, names = _lp(model)
-    root = lp.solve(start_at_upper=prices)
+    lp, int_idx, names = _lp(model)
+    root = lp.solve()
     assert root.status == "optimal"
+    root.tableau = None  # every child factorises the root's basis
     branches = _fractional(root.x, int_idx)
     for k, j in enumerate(branches):
-        for value, warm in _warm_solves(lp, prices, j, root):
-            cold = lp.solve(*_fixed(lp, j, value), start_at_upper=prices)
+        for value, warm in _warm_solves(lp, j, root):
+            cold = lp.solve(*_fixed(lp, j, value))
             assert warm.status == spy.results[-1].status == cold.status, (
                 j, value, spy.results[-1].status, cold.status,
             )
@@ -612,25 +619,22 @@ def test_shared_start_leaves_its_tableau_for_the_sibling(kind):
     # must reach its cold solve's answer, and the copy's pivots must leave
     # the shared tableau as it was
     for inst in _markets():
-        lp, prices, int_idx, _ = _lp(build(inst, kind))
-        root = lp.solve(start_at_upper=prices, keep_tableau=True)
+        lp, int_idx, _ = _lp(build(inst, kind))
+        root = lp.solve()
         # the first branch shares the root's kept tableau, every later one a
         # tableau factorised afresh from the root's basis
         for j in _fractional(root.x, int_idx)[:3]:
             kept = root.tableau
             before = None if kept is None else [a.tobytes() for a in kept]
-            child0 = lp.solve(
-                *_fixed(lp, j, 0.0), start_at_upper=prices, start_from=root,
-                share_start=True,
-            )
+            child0 = lp.solve(*_fixed(lp, j, 0.0), start_from=root, share_start=True)
             assert root.tableau is not None
             if kept is not None:
                 assert root.tableau is kept
                 assert [a.tobytes() for a in kept] == before
-            child1 = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices, start_from=root)
+            child1 = lp.solve(*_fixed(lp, j, 1.0), start_from=root)
             assert root.tableau is None  # taken over
             for value, warm in ((0.0, child0), (1.0, child1)):
-                cold = lp.solve(*_fixed(lp, j, value), start_at_upper=prices)
+                cold = lp.solve(*_fixed(lp, j, value))
                 assert warm.status == cold.status
                 if cold.status == "optimal":
                     assert warm.objective == pytest.approx(
@@ -721,10 +725,10 @@ def _never_gather(T, row):
 def _mid_solve_tableau(model, pivots):
     """A model's crash-started tableau after some primal pivots, and a pivot
     (r, j) on the largest entry of its densest column."""
-    lp, prices, _, _ = _lp(model)
+    lp, _, _ = _lp(model)
     span = np.maximum(lp.ub - lp.lb, 0.0)
     status = np.full(lp.nvars + len(lp.b), simplex._BASIC, dtype=np.int8)
-    status[: lp.nvars] = np.where(prices, simplex._UPPER, simplex._LOWER)
+    status[: lp.nvars] = np.where(lp.start_at_upper, simplex._UPPER, simplex._LOWER)
     tableau = lp._refactor(status, lp.lb, span)
     assert SimplexSolver._iterate(tableau, pivots, 0, None) == ("iteration-limit", pivots)
     j = int(np.count_nonzero(tableau.T, axis=0).argmax())
@@ -752,11 +756,11 @@ def test_both_update_paths_give_the_same_bits(monkeypatch, size, kind, gathers):
 
 
 def test_root_lp_is_the_same_on_both_update_paths(monkeypatch):
-    lp, prices, _, _ = _lp(build(generate("popularity", preset("popularity", 50), 0), "U"))
+    lp, _, _ = _lp(build(generate("popularity", preset("popularity", 50), 0), "U"))
     results = []
     for reach in (simplex._reach, _never_gather):
         monkeypatch.setattr(simplex, "_reach", reach)
-        results.append(lp.solve(start_at_upper=prices))
+        results.append(lp.solve())
     gathered, dense = results
     assert gathered.status == dense.status == "optimal"
     assert gathered.iterations == dense.iterations
@@ -767,13 +771,14 @@ def test_root_lp_is_the_same_on_both_update_paths(monkeypatch):
 def _fig1_assign_conflict():
     """fig1's U model with bidder 1 given item 1; x_3_1 = 1 then breaks assign_1."""
     model = build(make_fig1(), FormulationKind.U)
-    lp, prices, _, names = _lp(model)
+    lp, _, names = _lp(model)
     lp.lb[names.index("x_1_1")] = 1.0
-    return lp, prices, names.index("x_3_1")
+    return lp, names.index("x_3_1")
 
 
 def test_warm_infeasible_is_confirmed_cold(monkeypatch):
-    lp, prices, j = _fig1_assign_conflict()
+    lp, j = _fig1_assign_conflict()
+    prices = lp.start_at_upper
     warm_status, cold_calls = [], []
     resolve, solve = SimplexSolver._resolve, SimplexSolver._solve
 
@@ -789,7 +794,7 @@ def test_warm_infeasible_is_confirmed_cold(monkeypatch):
 
     monkeypatch.setattr(SimplexSolver, "_resolve", spy_resolve)
     monkeypatch.setattr(SimplexSolver, "_solve", spy_solve)
-    child = _warm_child(lp, prices, j)
+    child = _warm_child(lp, j)
     assert child.status == "infeasible"
     assert warm_status[0][0] == "infeasible"
     # child 0, then the confirmation: both crash-started
@@ -801,11 +806,11 @@ def test_warm_infeasible_is_confirmed_cold(monkeypatch):
 
 def test_rejected_warm_point_is_refactored(monkeypatch):
     model = build(make_fig1(), FormulationKind.U)
-    lp, prices, int_idx, _ = _lp(model)
-    root = lp.solve(start_at_upper=prices)
+    lp, int_idx, _ = _lp(model)
+    root = lp.solve()
     j = _fractional(root.x, int_idx)[0]
-    cold = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices)
-    child0 = lp.solve(*_fixed(lp, j, 0.0), start_at_upper=prices, keep_tableau=True)
+    cold = lp.solve(*_fixed(lp, j, 1.0))
+    child0 = lp.solve(*_fixed(lp, j, 0.0))
 
     warm_starts, warm_results, cold_solves = [], [], []
     feasible, resolve, solve = (
@@ -828,7 +833,7 @@ def test_rejected_warm_point_is_refactored(monkeypatch):
     monkeypatch.setattr(SimplexSolver, "_feasible", reject_warm_point)
     monkeypatch.setattr(SimplexSolver, "_resolve", spy_resolve)
     monkeypatch.setattr(SimplexSolver, "_solve", spy_solve)
-    child = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices, start_from=child0)
+    child = lp.solve(*_fixed(lp, j, 1.0), start_from=child0)
     assert child.status == "optimal"
     assert child.objective == pytest.approx(cold.objective, abs=1e-9)
     # the rejected point's own basis is factorised afresh and re-optimised;
@@ -838,17 +843,14 @@ def test_rejected_warm_point_is_refactored(monkeypatch):
     assert child.iterations == sum(result.iterations for result in warm_results)
 
 
-def test_confirmed_warm_infeasible_is_checked_and_retried(monkeypatch):
-    # a warm child wrongly ending "infeasible" falls through to its cold
-    # confirmation; that point is rejected once, and the retry from the
-    # confirmation's basis closes the solve with every run's pivots counted
-    model = build(make_fig1(), FormulationKind.U)
-    lp, prices, int_idx, _ = _lp(model)
-    root = lp.solve(start_at_upper=prices)
-    j = _fractional(root.x, int_idx)[0]
-    cold = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices)
-    child0 = lp.solve(*_fixed(lp, j, 0.0), start_at_upper=prices, keep_tableau=True)
+def _confirmed_and_retried(lp, j, child0):
+    """Child x_j = 1 warm from child x_j = 0, its warm run forced to end
+    "infeasible" and the first point checked rejected, so the one solve runs
+    the warm run, the cold confirmation and the retry.
 
+    Returns the child, the start and result of each warm run, the
+    confirmations and the checks made.
+    """
     warm_starts, warm_results, confirmations, checks = [], [], [], []
     feasible, resolve, solve = (
         SimplexSolver._feasible, SimplexSolver._resolve, SimplexSolver._solve
@@ -869,10 +871,27 @@ def test_confirmed_warm_infeasible_is_checked_and_retried(monkeypatch):
         confirmations.append(solve(self, *args))
         return confirmations[-1]
 
-    monkeypatch.setattr(SimplexSolver, "_feasible", reject_first_point)
-    monkeypatch.setattr(SimplexSolver, "_resolve", spy_resolve)
-    monkeypatch.setattr(SimplexSolver, "_solve", spy_solve)
-    child = lp.solve(*_fixed(lp, j, 1.0), start_at_upper=prices, start_from=child0)
+    with pytest.MonkeyPatch.context() as spies:
+        spies.setattr(SimplexSolver, "_feasible", reject_first_point)
+        spies.setattr(SimplexSolver, "_resolve", spy_resolve)
+        spies.setattr(SimplexSolver, "_solve", spy_solve)
+        child = lp.solve(*_fixed(lp, j, 1.0), start_from=child0)
+    return child, warm_starts, warm_results, confirmations, checks
+
+
+def test_confirmed_warm_infeasible_is_checked_and_retried():
+    # a warm child wrongly ending "infeasible" falls through to its cold
+    # confirmation; that point is rejected once, and the retry from the
+    # confirmation's basis closes the solve with every run's pivots counted
+    model = build(make_fig1(), FormulationKind.U)
+    lp, int_idx, _ = _lp(model)
+    root = lp.solve()
+    j = _fractional(root.x, int_idx)[0]
+    cold = lp.solve(*_fixed(lp, j, 1.0))
+    child0 = lp.solve(*_fixed(lp, j, 0.0))
+    child, warm_starts, warm_results, confirmations, checks = (
+        _confirmed_and_retried(lp, j, child0)
+    )
     assert child.status == cold.status == "optimal"
     assert child.objective == pytest.approx(cold.objective, abs=1e-9)
     assert len(confirmations) == 1 and len(checks) == 2
@@ -885,13 +904,42 @@ def test_confirmed_warm_infeasible_is_checked_and_retried(monkeypatch):
     )
 
 
+def test_one_iteration_cap_per_solve(monkeypatch):
+    # MAX_ITERATIONS bounds one solve() call's pivots over the warm run, the
+    # cold confirmation and the retry together: under every cap short of
+    # the three runs' total, the call stops at the cap.  A cap one short of
+    # the first two runs catches a confirmation given a fresh budget, one
+    # short of all three a retry given one.  The retry's block is made
+    # singular, so that it pivots: it runs from the plain slack basis
+    lp, int_idx, _ = _lp(build(make_fig1(), FormulationKind.U))
+    j = _fractional(lp.solve().x, int_idx)[0]
+    getrf = simplex.dgetrf
+    monkeypatch.setattr(simplex, "dgetrf", lambda a, **kw: (*getrf(a, **kw)[:2], 1))
+    child0 = lp.solve(*_fixed(lp, j, 0.0))
+    child, _, warm_results, confirmations, _ = _confirmed_and_retried(lp, j, child0)
+    assert child.status == "optimal" and lp.singular_blocks == 1
+    assert warm_results[1] is None and len(confirmations) == 2
+    warm, confirmation, retry = warm_results[0], *confirmations
+    assert warm.iterations and confirmation.iterations and retry.iterations
+    first_two = warm.iterations + confirmation.iterations
+    assert child.iterations == first_two + retry.iterations
+    for cap in range(child.iterations):
+        child0 = lp.solve(*_fixed(lp, j, 0.0))
+        with pytest.MonkeyPatch.context() as limit:
+            limit.setattr(simplex, "MAX_ITERATIONS", cap)
+            capped = _confirmed_and_retried(lp, j, child0)[0]
+        # a retry cut short reports the rejected point as "numerical"
+        cut = "iteration-limit" if cap < first_two else "numerical"
+        assert (capped.status, capped.iterations) == (cut, cap), cap
+
+
 def test_deadline_stops_the_lp():
     model = build(make_fig1(), FormulationKind.U)
-    lp, prices, int_idx, _ = _lp(model)
+    lp, int_idx, _ = _lp(model)
     past = time.perf_counter()
-    assert lp.solve(start_at_upper=prices, deadline=past).status == "time-limit"
-    root = lp.solve(start_at_upper=prices)
+    assert lp.solve(deadline=past).status == "time-limit"
+    root = lp.solve()
     j = _fractional(root.x, int_idx)[0]
-    child0 = lp.solve(*_fixed(lp, j, 0.0), start_at_upper=prices, keep_tableau=True)
+    child0 = lp.solve(*_fixed(lp, j, 0.0))
     child1 = lp.solve(*_fixed(lp, j, 1.0), start_from=child0, deadline=past)
     assert child1.status == "time-limit"

@@ -512,7 +512,7 @@ def test_lp_solution_reads_its_dense_point():
     for inst, kind in ((make_fig1(), "P"), (pop12, "U")):
         model = build(inst, kind)
         s = solver._setup(model)
-        dense = s.full(s.lp.solve(start_at_upper=s.start).x)
+        dense = s.full(s.lp.solve().x)
         sol = solve_lp(model)
         assert sol.support.size < dense.size
         assert sol.x.tobytes() == dense.tobytes()
