@@ -2,14 +2,17 @@
 
 Given prices, each bidder takes an item maximizing valuation minus price,
 provided that utility is non-negative; ties go to the higher-priced item and
-then to the lowest item index.  The resulting allocation is envy-free and
-maximizes the auctioneer's profit among all envy-free allocations for that
-pricing, which a brute-force enumerator verifies on tiny instances.
+then to the lowest item index.  One loop, run by envy_free_allocation, profit
+and best_response, scans each bidder's (item, value) row once under that rule.
+The resulting allocation is envy-free and maximizes the auctioneer's profit
+among all envy-free allocations for that pricing, which a brute-force
+enumerator verifies on tiny instances.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,44 +59,40 @@ def best_response(
     Items the bidder values at zero never beat that: their utility is -p <= 0.
     """
     _check_dims(inst, pricing)
-    return _best_response(inst, pricing.prices, bidder)
+    (item,), (utility,), _ = _greedy((inst.by_bidder[bidder],), pricing.prices)
+    return None if item is None else (item, utility)
 
 
-def _best_response(
-    inst: Instance, prices: tuple[float, ...], bidder: int
-) -> Optional[tuple[int, float]]:
-    """best_response on prices already checked against the instance."""
-    best: Optional[tuple[int, float]] = None
-    for item, value in inst.by_bidder[bidder]:
-        utility = value - prices[item]
-        if utility < -TOLERANCE:
-            continue
-        if best is None:
-            best = (item, utility)
-        elif utility > best[1] + TOLERANCE:
-            best = (item, utility)
-        elif utility > best[1] - TOLERANCE and prices[item] > prices[best[0]] + TOLERANCE:
-            best = (item, utility)
-        # remaining ties keep the incumbent, i.e. the lowest item index
-    return best
+def _greedy(
+    rows: tuple[tuple[tuple[int, float], ...], ...], prices: tuple[float, ...]
+) -> tuple[list[Optional[int]], list[float], float]:
+    """Each row's best response in one pass: (assignment, utilities, profit)."""
+    tol = TOLERANCE
+    assignment: list[Optional[int]] = []
+    utilities: list[float] = []
+    profit = 0.0
+    for row in rows:
+        best, best_utility, best_price = None, -math.inf, 0.0  # -tol beats -inf
+        for item, value in row:
+            price = prices[item]
+            utility = value - price
+            if utility < -tol:
+                continue
+            if utility > best_utility + tol or (
+                utility > best_utility - tol and price > best_price + tol
+            ):
+                best, best_utility, best_price = item, utility, price
+            # remaining ties keep the incumbent, i.e. the lowest item index
+        assignment.append(best)
+        utilities.append(0.0 if best is None else best_utility)
+        profit += best_price  # an unserved bidder's 0.0 leaves the sum's bits
+    return assignment, utilities, profit
 
 
 def envy_free_allocation(inst: Instance, pricing: Pricing) -> Outcome:
     """Profit-maximizing envy-free outcome for a fixed pricing (the greedy x_p)."""
     _check_dims(inst, pricing)
-    assignment: list[Optional[int]] = []
-    utilities: list[float] = []
-    profit = 0.0
-    for b in range(inst.num_bidders):
-        choice = _best_response(inst, pricing.prices, b)
-        if choice is None:
-            assignment.append(None)
-            utilities.append(0.0)
-        else:
-            item, utility = choice
-            assignment.append(item)
-            utilities.append(utility)
-            profit += pricing[item]
+    assignment, utilities, profit = _greedy(inst.by_bidder, pricing.prices)
     return Outcome(pricing, Allocation(tuple(assignment)), profit, tuple(utilities))
 
 
@@ -133,7 +132,8 @@ def is_envy_free(
 
 def profit(inst: Instance, pricing: Pricing) -> float:
     """The seller's profit under `pricing` and its greedy envy-free allocation."""
-    return envy_free_allocation(inst, pricing).profit
+    _check_dims(inst, pricing)
+    return _greedy(inst.by_bidder, pricing.prices)[2]
 
 
 def allocation_brute_force(inst: Instance, pricing: Pricing) -> Outcome:

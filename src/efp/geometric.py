@@ -4,13 +4,13 @@ The grid anchored at the largest valuation V with ratio 1+eps is
 {V / (1+eps)^k : k >= 0}.  Rounding a pricing down onto the grid (after a
 fixed shrink) loses at most a constant factor of profit: 1/4 for the ratio-2
 grid, 1 / (2*sqrt(eps*(1+eps)) + 2*eps + 1) in general, approaching 1 as eps
-goes to 0.
+goes to 0.  A floor usually computes two grid elements, d_r and d_{r-1}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import Instance, Pricing
 
@@ -25,16 +25,20 @@ class InvalidEpsilonError(ValueError):
 
 @dataclass(frozen=True)
 class GeometricGrid:
-    """Strictly decreasing grid d_k = apex / ratio^k for k >= 0."""
+    """Strictly decreasing grid d_k = apex / ratio^k for k >= 0; logs taken once."""
 
     apex: float
     ratio: float
+    log_apex: float = field(init=False, repr=False, compare=False)
+    log_ratio: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.apex > 0:
             raise NonPositiveApexError(f"grid apex must be positive, got {self.apex}")
         if not self.ratio > 1:
             raise InvalidEpsilonError(f"grid ratio must exceed 1, got {self.ratio}")
+        object.__setattr__(self, "log_apex", math.log(self.apex))
+        object.__setattr__(self, "log_ratio", math.log(self.ratio))
 
     def element(self, k: int) -> float:
         return _over_power(self.apex, self.ratio, k)
@@ -62,26 +66,26 @@ def floor_geometric(x: float, grid: GeometricGrid) -> float:
         return 0.0
     if x >= grid.apex:
         return grid.apex
-    r = max(0, math.ceil((math.log(grid.apex) - math.log(x)) / math.log(grid.ratio)))
+    r = max(0, math.ceil((grid.log_apex - math.log(x)) / grid.log_ratio))
     # The log estimate misses by a step or so in floating point, but by up to
     # billions where a run of grid elements rounds to one subnormal.  Gallop
     # from it to a bracket d_lo > x >= d_hi (d_{-1} counts as above x), then
     # bisect: elements never increase with k, so the answer is one value.
     lo, hi, step = r, r + 1, 1
-    if grid.element(r) <= x:
+    if (d_hi := grid.element(r)) <= x:
         lo, hi = r - 1, r
-        while lo >= 0 and grid.element(lo) <= x:
-            lo, hi, step = max(-1, lo - step), lo, 2 * step
+        while lo >= 0 and (d_lo := grid.element(lo)) <= x:
+            lo, hi, d_hi, step = max(-1, lo - step), lo, d_lo, 2 * step
     else:
-        while grid.element(hi) > x:
+        while (d_hi := grid.element(hi)) > x:
             lo, hi, step = hi, hi + step, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if grid.element(mid) > x:
+        if (d_mid := grid.element(mid)) > x:
             lo = mid
         else:
-            hi = mid
-    return grid.element(hi)
+            hi, d_hi = mid, d_mid
+    return d_hi
 
 
 def _round_down(

@@ -47,7 +47,8 @@ three steps, each written once.
    is returned; one that fails is re-optimised once from its own basis,
    factorised afresh (from the plain slack basis, without the crash start,
    if that block is singular), and a second failure is status "numerical"
-   with the first point.  An optimal result carries its final basis, and
+   with the first point; a retry cut short reports its own "iteration-limit"
+   or "time-limit".  An optimal result carries its final basis, and
    holds its final tableau until a later solve takes it over or its owner
    drops it.
 
@@ -169,8 +170,7 @@ class SimplexSolver:
         self.row_sign = np.where(kind == ">=", -1.0, 1.0)
         self.b = self.row_sign * np.asarray(b, dtype=float)
         self._le = kind != "="
-        # the rows' residual bound, RESIDUAL_TOL * max(1, |rhs|), for _feasible
-        self._row_tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(self.b))
+        self._row_tol = _residual_tol(self.b)  # the rows' bound, for _feasible
         self.senses = np.where(self._le, "<=", "=").tolist()
         self._cost = np.concatenate((self.c, np.zeros(len(kind))))  # logicals cost 0
         self.lb = np.asarray(lb, dtype=float)
@@ -211,7 +211,8 @@ class SimplexSolver:
         breaks a row or bound, or whose basis prices a slot in under reduced
         costs computed afresh, is re-optimised once from its own basis,
         factorised afresh (from the plain slack basis if that basis is
-        singular); a second failure is "numerical", with the first point.
+        singular); a second failure is "numerical", with the first point,
+        and a retry cut short by the cap or the deadline reports that limit.
         An optimal result holds its final tableau until a start_from solve
         takes it over or its owner drops it.  All runs of one call together
         make at most MAX_ITERATIONS pivots, read at the call.  deadline is
@@ -242,10 +243,11 @@ class SimplexSolver:
                 # run that drifted
                 retry = self._solve(lob, upb, None, budget, deadline)
             iterations = result.iterations + retry.iterations
-            if (
+            if retry.status in ("iteration-limit", "time-limit") or (
                 retry.status == "optimal" and self._feasible(retry.x, lob, upb)
                 and self._priced_out(retry.tableau)
             ):
+                # a retry cut short reports its limit: no check failed twice
                 result = replace(retry, iterations=iterations)
             else:
                 result = SimplexResult(
@@ -254,13 +256,18 @@ class SimplexSolver:
         return result
 
     def _feasible(self, x: np.ndarray, lob: np.ndarray, upb: np.ndarray) -> bool:
-        """Rows and bounds hold within RESIDUAL_TOL * max(1, |rhs|)."""
+        """Rows and bounds hold within RESIDUAL_TOL * max(1, |rhs|).
+
+        Each bound side is first held to RESIDUAL_TOL alone, which implies
+        the scaled test (max(1, |rhs|) >= 1 and rounding is monotone), so
+        only a side that fails it builds its scaled tolerances.
+        """
         excess = self.row_sign * (self.A @ x) - self.b
         excess = np.where(self._le, excess, np.abs(excess))
         return bool(
             np.all(excess <= self._row_tol)
-            and np.all(x >= lob - RESIDUAL_TOL * np.maximum(1.0, np.abs(lob)))
-            and np.all(x <= upb + RESIDUAL_TOL * np.maximum(1.0, np.abs(upb)))
+            and (np.all(x >= lob - RESIDUAL_TOL) or np.all(x >= lob - _residual_tol(lob)))
+            and (np.all(x <= upb + RESIDUAL_TOL) or np.all(x <= upb + _residual_tol(upb)))
         )
 
     def _priced_out(self, tableau: _Tableau) -> bool:
@@ -612,6 +619,11 @@ class SimplexSolver:
                 tableau, r, j, (ubp[e] if vstat[e] == _UPPER else 0.0) + t,
                 _LOWER if to_lower else _UPPER, sgn, ub_row,
             )
+
+
+def _residual_tol(rhs: np.ndarray) -> np.ndarray:
+    """The residual an "optimal" point may show against each rhs."""
+    return RESIDUAL_TOL * np.maximum(1.0, np.abs(rhs))
 
 
 def _loop_state(tableau: _Tableau) -> tuple[np.ndarray, np.ndarray]:

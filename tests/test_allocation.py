@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efp.allocation import (
     TooLargeError,
@@ -8,9 +10,10 @@ from efp.allocation import (
     is_envy_free,
     profit,
 )
-from efp.core import Allocation, Pricing, validate_instance
+from efp.core import TOLERANCE, Allocation, Pricing, validate_instance
 from efp.generators import SeededRng
 
+import reference_greedy
 from conftest import random_instance, random_pricing
 
 
@@ -137,3 +140,47 @@ def test_served_bidders_stay_served_under_lower_prices():
 def test_determinism(fig1):
     pricing = Pricing((4.5, 6.5, 2.5))
     assert envy_free_allocation(fig1, pricing) == envy_free_allocation(fig1, pricing)
+
+
+@st.composite
+def near_tie_markets(draw):
+    """Small markets whose utilities form near-tie chains: prices and
+    utilities are base values plus multiples of a fraction of TOLERANCE, so
+    consecutive candidates tie within TOLERANCE while the chain's ends do
+    not; equal prices and exact zero utilities are common."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    step = draw(st.sampled_from([0.3, 0.45, 0.6, 0.9])) * TOLERANCE
+    prices = tuple(
+        draw(st.sampled_from([0.0, 1.0, 2.5])) + draw(st.integers(0, 3)) * step
+        for _ in range(m)
+    )
+    edges = []
+    for b in range(n):
+        for i in range(m):
+            rung = draw(st.one_of(st.none(), st.integers(-3, 4)))
+            if rung is None:
+                continue
+            value = prices[i] + draw(st.sampled_from([0.0, 0.0, 0.5])) + rung * step
+            if value > 0:
+                edges.append((i, b, value))
+    return validate_instance(m, n, edges), Pricing(prices)
+
+
+def _bits(choice):
+    return None if choice is None else (choice[0], choice[1].hex())
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_tie_markets())
+def test_greedy_equals_the_per_bidder_scan(market):
+    inst, pricing = market
+    expected = reference_greedy.envy_free_allocation(inst, pricing)
+    outcome = envy_free_allocation(inst, pricing)
+    assert outcome.allocation == expected.allocation
+    assert [u.hex() for u in outcome.utilities] == [u.hex() for u in expected.utilities]
+    assert outcome.profit.hex() == expected.profit.hex()
+    assert profit(inst, pricing).hex() == expected.profit.hex()
+    for b in range(inst.num_bidders):
+        assert _bits(best_response(inst, pricing, b)) == _bits(
+            reference_greedy.best_response(inst, pricing, b)
+        )

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
-from efp.allocation import profit
+from efp.allocation import envy_free_allocation, profit
 from efp.core import Pricing, derive_constants
 from efp.generators import SeededRng, generate, preset
 from efp.geometric import (
@@ -107,6 +110,24 @@ def test_floor_keeps_the_bits_wherever_it_never_raised():
             assert floor_geometric(x, grid).hex() == before.hex()
             checked += 1
     assert checked > 2000
+
+
+# one grid element per grid where the log estimate r lands one index too
+# deep: d_{r-1} <= x already, so a floor that returned d_r unchecked would
+# undershoot x by a whole grid step
+ESTIMATES_TOO_DEEP = [
+    (7.0, 2.0, 4.973799150320701e-14),
+    (6.0, 1.001, 5.982035940089876),
+    (1e300, 1.1, 6.830134553650705e+299),
+]
+
+
+@pytest.mark.parametrize("apex,ratio,x", ESTIMATES_TOO_DEEP)
+def test_floor_steps_back_when_the_estimate_is_too_deep(apex, ratio, x):
+    grid = GeometricGrid(apex, ratio)
+    r = math.ceil((math.log(apex) - math.log(x)) / math.log(ratio))
+    assert grid.element(r) < grid.element(r - 1) <= x < grid.element(r - 2)
+    assert floor_geometric(x, grid).hex() == grid.element(r - 1).hex()
 
 
 @pytest.mark.parametrize("apex", [7.0, 1e300, sys.float_info.max])
@@ -242,8 +263,6 @@ def test_eps_rounding_profit_bound_sample():
 
 
 def test_rounding_preserves_served_bidders():
-    from efp.allocation import envy_free_allocation
-
     for inst, pricing in _corpus(60):
         rounded = round_pricing_half(inst, pricing)
         for p, q in zip(pricing.prices, rounded.prices):
@@ -264,3 +283,44 @@ def test_finer_grids_keep_more_profit_on_average():
             ratios[eps].append(after / before)
     mean = {eps: sum(v) / len(v) for eps, v in ratios.items()}
     assert mean[0.1] > mean[0.5]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _rounding_digests() -> dict[str, str]:
+    """SHA-256 per rounding of criteria 5/6's 1000 pairs: every rounded
+    price's bits and the greedy outcome's assignment, utilities and profit
+    (from envy_free_allocation and from profit) on the rounded pricing;
+    "none" digests the greedy on the pairs' own pricings."""
+    roundings = {
+        "none": lambda inst, pricing: pricing,
+        "half": round_pricing_half,
+        **{
+            f"eps {eps}": lambda inst, pricing, eps=eps: round_pricing_eps(inst, pricing, eps)
+            for eps in (0.5, 0.25, 0.1)
+        },
+    }
+    digests = {}
+    corpus = _corpus(1000)
+    for name, rounding in roundings.items():
+        h = hashlib.sha256()
+        for inst, pricing in corpus:
+            rounded = rounding(inst, pricing)
+            outcome = envy_free_allocation(inst, rounded)
+            h.update(" ".join(p.hex() for p in rounded.prices).encode())
+            h.update(repr(outcome.allocation.assignment).encode())
+            h.update(" ".join(u.hex() for u in outcome.utilities).encode())
+            h.update(outcome.profit.hex().encode())
+            h.update(profit(inst, rounded).hex().encode())
+            h.update(b"\n")
+        digests[name] = h.hexdigest()
+    return digests
+
+
+def test_rounding_path_matches_golden():
+    # every bit the rounding path computes on criteria 5/6's corpus is
+    # pinned; after an intended change, rewrite
+    # tests/golden/rounding_digests.json with _rounding_digests()
+    pinned = json.loads((GOLDEN / "rounding_digests.json").read_text())
+    assert _rounding_digests() == pinned

@@ -904,6 +904,55 @@ def test_confirmed_warm_infeasible_is_checked_and_retried():
     )
 
 
+def _feasible_as_before(lp, x, lob, upb):
+    """SimplexSolver._feasible as it was when it built both sides' scaled
+    bound tolerances on every call: an oracle for its verdict."""
+    tol = simplex.RESIDUAL_TOL
+    excess = lp.row_sign * (lp.A @ x) - lp.b
+    excess = np.where(lp._le, excess, np.abs(excess))
+    return bool(
+        np.all(excess <= tol * np.maximum(1.0, np.abs(lp.b)))
+        and np.all(x >= lob - tol * np.maximum(1.0, np.abs(lob)))
+        and np.all(x <= upb + tol * np.maximum(1.0, np.abs(upb)))
+    )
+
+
+@st.composite
+def _points_near_their_bounds(draw):
+    """Bounds of magnitude below and above 1, and a point whose every entry
+    sits near one of its bounds: on the edge of the unscaled band b -+ tol,
+    of the scaled band b -+ tol * max(1, |b|), one float either side of
+    either edge, or a random multiple of either tolerance inside or out."""
+    tol = simplex.RESIDUAL_TOL
+    n = draw(st.integers(1, 4))
+    magnitudes = st.sampled_from([0.0, 0.5, 1.0, -1.0, 3.0, -2.5, 1e4, -1e6])
+    lob = np.array([draw(st.one_of(magnitudes, st.floats(-1e6, 1e6))) for _ in range(n)])
+    spans = st.sampled_from([0.0, 1.0, 2.5, 3e5, np.inf])
+    upb = lob + np.array([draw(spans) for _ in range(n)])
+    x = np.empty(n)
+    for k in range(n):
+        at_upper = draw(st.booleans()) and np.isfinite(upb[k])
+        b, out = (upb[k], 1.0) if at_upper else (lob[k], -1.0)
+        width = draw(st.sampled_from([tol, tol * max(1.0, abs(b))]))
+        edge = b + out * width
+        x[k] = draw(st.sampled_from([
+            edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf), b,
+            b + out * width * draw(st.floats(0.0, 3.0)),
+        ]))
+    return lob, upb, x
+
+
+@settings(max_examples=500, deadline=None)
+@given(_points_near_their_bounds())
+def test_bound_check_keeps_the_scaled_verdict(case):
+    # the unscaled band is tested first and the scaled one only on a side
+    # that fails it; the verdict must be the scaled formula's
+    lob, upb, x = case
+    n = len(x)
+    lp = SimplexSolver(np.zeros(n), np.ones((1, n)), ["<="], [np.sum(x) + 1.0], lob, upb)
+    assert lp._feasible(x, lob, upb) == _feasible_as_before(lp, x, lob, upb)
+
+
 def test_one_iteration_cap_per_solve(monkeypatch):
     # MAX_ITERATIONS bounds one solve() call's pivots over the warm run, the
     # cold confirmation and the retry together: under every cap short of
@@ -928,9 +977,8 @@ def test_one_iteration_cap_per_solve(monkeypatch):
         with pytest.MonkeyPatch.context() as limit:
             limit.setattr(simplex, "MAX_ITERATIONS", cap)
             capped = _confirmed_and_retried(lp, j, child0)[0]
-        # a retry cut short reports the rejected point as "numerical"
-        cut = "iteration-limit" if cap < first_two else "numerical"
-        assert (capped.status, capped.iterations) == (cut, cap), cap
+        # a call cut short in any run, the retry included, reports the cap
+        assert (capped.status, capped.iterations) == ("iteration-limit", cap), cap
 
 
 def test_deadline_stops_the_lp():

@@ -301,6 +301,46 @@ def test_deadline_inside_a_node_lp_keeps_a_finite_bound(monkeypatch, caplog, fir
     assert not caplog.records
 
 
+def test_deadline_inside_a_retry_keeps_a_finite_bound(monkeypatch, caplog, fig1):
+    # fig1's U search: the second LP's first point is rejected, and from then
+    # on the simplex's clock reads past the deadline and every block is
+    # singular, so the retry runs from the plain slack basis and stops at its
+    # first pivot.  A retry cut short reports "time-limit": its node goes
+    # back among the open ones and the bound stays finite, where a
+    # "numerical" LP would be closed with a warning and leave the bound inf
+    checks, statuses = [], []
+    feasible, solve = solver.SimplexSolver._feasible, solver.SimplexSolver.solve
+    getrf, now = simplex.dgetrf, simplex.time.perf_counter
+
+    def reject_the_second_point(self, *args):
+        checks.append(None)
+        return len(checks) != 2 and feasible(self, *args)
+
+    def spy_solve(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        statuses.append(result.status)
+        return result
+
+    def rejected():
+        return len(checks) >= 2
+
+    clock = types.SimpleNamespace(perf_counter=lambda: math.inf if rejected() else now())
+    monkeypatch.setattr(simplex, "time", clock)
+    monkeypatch.setattr(
+        simplex, "dgetrf",
+        lambda a, **kw: (*getrf(a, **kw)[:2], 1) if rejected() else getrf(a, **kw),
+    )
+    monkeypatch.setattr(solver.SimplexSolver, "_feasible", reject_the_second_point)
+    monkeypatch.setattr(solver.SimplexSolver, "solve", spy_solve)
+    with caplog.at_level(logging.WARNING, logger="efp.solver"):
+        result = solve_mip(build(fig1, FormulationKind.U), fig1, time_limit=1000.0)
+    assert len(checks) == 2 and statuses == ["optimal", "time-limit"]
+    assert math.isfinite(result.bound)
+    assert result.bound >= 21.0 - 1e-6  # fig1's optimum
+    assert result.status == "feasible"
+    assert not caplog.records
+
+
 @pytest.mark.parametrize("failing_lp", [1, 2, 3], ids=["root", "lp2", "lp3"])
 def test_a_failed_lp_drops_the_bound_and_keeps_the_incumbent(
     monkeypatch, caplog, fig1, failing_lp
