@@ -29,10 +29,10 @@ from .geometric import (
     NonPositiveApexError,
     guarantee_factor,
     round_pricing_eps,
-    round_pricing_half,
 )
 from .oracle import brute_force_optimal
 from .solver import (
+    STRICT_TARGETS,
     InvalidLimitError,
     _check_limits,
     compare_relaxations,
@@ -234,7 +234,7 @@ def cmd_find_strict(args) -> int:
 
 def cmd_round(args) -> int:
     # the factor checks eps before a solve can spend the whole time limit
-    factor = guarantee_factor(args.eps, half_rounding=args.eps == 1.0)
+    factor = guarantee_factor(args.eps)
     inst = _load(args.instance)
     # the flags are checked even when --prices leaves them unused
     _check_limits(args.time_limit, None, args.tolerance)
@@ -255,10 +255,7 @@ def cmd_round(args) -> int:
             raise CliError("no pricing available from the solver")
         pricing = result.incumbent.pricing
         print(f"using solved pricing (status {result.status})")
-    if args.eps == 1.0:
-        rounded = round_pricing_half(inst, pricing)
-    else:
-        rounded = round_pricing_eps(inst, pricing, args.eps)
+    rounded = round_pricing_eps(inst, pricing, args.eps)
     sol_p = profit(inst, pricing)
     sol_r = profit(inst, rounded)
     ratio = sol_r / sol_p if sol_p > 0 else 1.0
@@ -363,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "find-strict", parents=[seed],
         help="search generated instances for a strict separation",
     )
-    p.add_argument("target", choices=["i-stm", "l-p-u"])
+    p.add_argument("target", choices=tuple(STRICT_TARGETS))
     p.add_argument("--budget", type=_at_least_one, default=500, help="search budget")
     p.set_defaults(func=cmd_find_strict)
 
@@ -372,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prices", type=_prices, help="comma-separated price vector")
     p.add_argument(
         "--eps", type=float, default=1.0,
-        help="grid parameter; 1 selects the dedicated ratio-2 rounding",
+        help="grid parameter in (0, 1]; 1 selects the dedicated ratio-2 rounding",
     )
     p.set_defaults(func=cmd_round)
 

@@ -6,6 +6,11 @@ market prices.  Valuations of an item cluster around its market price via a
 Gaussian whose deviation scales with that price; draws are rejected until the
 valuation is strictly positive.
 
+One table names each model with its config type and generator: MODELS lists
+its names in order, and generate dispatches through it, rejecting a config of
+another model.  The checks every config shares, finite floats and positive m
+and n, are made once, in _check_common.
+
 All randomness flows through one SplitMix64 counter stream per generation
 call, so identical (config, seed) pairs reproduce instances byte-for-byte
 through the file format.  Cross-language bit-reproducibility is a non-goal.
@@ -81,13 +86,17 @@ def _positive_valuation(rng: SeededRng, market_price: float, deviation: float) -
             return v
 
 
-def _check_finite(config) -> None:
-    """Reject a NaN or infinite float field: it would reach the valuations,
-    where a NaN market price makes _positive_valuation redraw forever."""
+def _check_common(config) -> None:
+    """The checks every model's config shares.  A NaN or infinite float
+    field is rejected: it would reach the valuations, where a NaN market
+    price makes _positive_valuation redraw forever.  So is a market without
+    items or bidders."""
     for field in fields(config):
         value = getattr(config, field.name)
         if field.type in ("float", float) and not math.isfinite(value):
             raise InvalidConfigError(f"{field.name} must be finite, got {value}")
+    if config.m < 1 or config.n < 1:
+        raise InvalidConfigError("m and n must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,9 +120,7 @@ class CharacteristicsConfig:
         1 + Gaussian(p, (p * d)^2), is positive with probability above 1/2,
         while a large negative p makes _positive_valuation redraw for ever.
         """
-        _check_finite(self)
-        if self.m < 1 or self.n < 1:
-            raise InvalidConfigError("m and n must be positive")
+        _check_common(self)
         if self.c < 1:
             raise InvalidConfigError("need at least one characteristic")
         if not 1 <= self.p_pref <= self.o:
@@ -137,9 +144,7 @@ class NeighborhoodConfig:
     M: float
 
     def validate(self) -> None:
-        _check_finite(self)
-        if self.m < 1 or self.n < 1:
-            raise InvalidConfigError("m and n must be positive")
+        _check_common(self)
         # the unit square's diameter caps any useful radius; r = 0 is allowed
         # and produces an empty edge set
         if not 0 <= self.r <= math.sqrt(2.0) + 1e-12:
@@ -161,9 +166,7 @@ class PopularityConfig:
     d: float
 
     def validate(self) -> None:
-        _check_finite(self)
-        if self.m < 1 or self.n < 1:
-            raise InvalidConfigError("m and n must be positive")
+        _check_common(self)
         if self.e < 0:
             raise InvalidConfigError("edge count must be non-negative")
         if self.e > self.m * self.n:
@@ -309,15 +312,25 @@ def preset(model: str, n: int):
     raise InvalidConfigError(f"unknown model {model!r}")
 
 
-MODELS = ("characteristics", "neighborhood", "popularity")
+# each model's config type and generator; MODELS keeps the table's order,
+# which the study and the benchmarks index by position
+_MODELS = {
+    "characteristics": (CharacteristicsConfig, gen_characteristics),
+    "neighborhood": (NeighborhoodConfig, gen_neighborhood),
+    "popularity": (PopularityConfig, gen_popularity),
+}
+MODELS = tuple(_MODELS)
 
 
 def generate(model: str, config, seed: int) -> Instance:
-    """Dispatch a config produced by preset() (or built directly) to its model."""
-    if model == "characteristics":
-        return gen_characteristics(config, seed)
-    if model == "neighborhood":
-        return gen_neighborhood(config, seed)
-    if model == "popularity":
-        return gen_popularity(config, seed)
-    raise InvalidConfigError(f"unknown model {model!r}")
+    """Hand a config produced by preset() (or built directly) to its model's
+    generator; a config of another model is an input error."""
+    if model not in _MODELS:
+        raise InvalidConfigError(f"unknown model {model!r}")
+    config_type, generator = _MODELS[model]
+    if not isinstance(config, config_type):
+        raise InvalidConfigError(
+            f"model {model!r} takes a {config_type.__name__}, "
+            f"got a {type(config).__name__}"
+        )
+    return generator(config, seed)

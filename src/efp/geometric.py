@@ -2,9 +2,11 @@
 
 The grid anchored at the largest valuation V with ratio 1+eps is
 {V / (1+eps)^k : k >= 0}.  Rounding a pricing down onto the grid (after a
-fixed shrink) loses at most a constant factor of profit: 1/4 for the ratio-2
-grid, 1 / (2*sqrt(eps*(1+eps)) + 2*eps + 1) in general, approaching 1 as eps
-goes to 0.  A floor usually computes two grid elements, d_r and d_{r-1}.
+fixed shrink) loses at most a constant factor of profit.  Each eps in (0, 1]
+has one scheme, its grid ratio, shrink and factor decided in _scheme: eps = 1
+runs the dedicated ratio-2 scheme, factor 1/4; below 1 the ratio-(1+eps)
+scheme has factor 1 / (2*sqrt(eps*(1+eps)) + 2*eps + 1), approaching 1 as
+eps goes to 0.  A floor usually computes two grid elements, d_r and d_{r-1}.
 """
 
 from __future__ import annotations
@@ -88,13 +90,13 @@ def floor_geometric(x: float, grid: GeometricGrid) -> float:
     return d_hi
 
 
-def _round_down(
-    inst: Instance, pricing: Pricing, ratio: float, shrink: float
-) -> Pricing:
-    """Floor each positive p / shrink onto the ratio grid at the top valuation.
+def _round_down(inst: Instance, pricing: Pricing, eps: float) -> Pricing:
+    """Floor each positive p / shrink onto the grid of eps's scheme, anchored
+    at the top valuation.
 
     Zero prices stay zero; the grid needs a positive maximum valuation.
     """
+    ratio, shrink, _ = _scheme(eps)
     apex = max(inst.valuations.values(), default=0.0)
     if not apex > 0:
         raise NonPositiveApexError("instance has no positive valuation to anchor the grid")
@@ -107,46 +109,56 @@ def _round_down(
     )
 
 
+def _scheme(eps: float) -> tuple[float, float, float]:
+    """(grid ratio, shrink, guaranteed factor) of the rounding run at eps.
+
+    eps = 1 runs the dedicated ratio-2 scheme: 2p/3 onto the ratio-2 grid,
+    which loses at most a factor 4.  Below 1 the grid ratio is 1+eps, the
+    shrink r = 1 + sqrt(eps/(1+eps)) and the factor
+    1 / (2*sqrt(eps*(1+eps)) + 2*eps + 1).
+    """
+    if not 0 < eps <= 1:
+        raise InvalidEpsilonError(f"eps must lie in (0, 1], got {eps}")
+    if eps == 1:
+        # p / 1.5 and 2p / 3 are the same correctly rounded quotient
+        return 2.0, 1.5, 0.25
+    shrink = 1.0 + math.sqrt(eps / (1.0 + eps))
+    factor = 1.0 / (2.0 * math.sqrt(eps * (1.0 + eps)) + 2.0 * eps + 1.0)
+    return 1.0 + eps, shrink, factor
+
+
 def round_pricing_half(inst: Instance, pricing: Pricing) -> Pricing:
-    """Round 2p/3 down onto the ratio-2 grid; profit loses at most a factor 4.
+    """Round 2p/3 down onto the ratio-2 grid, the scheme run at eps = 1;
+    profit loses at most a factor 4.
 
     Zero prices stay zero.  Requires a positive maximum valuation to anchor
     the grid.
     """
-    # p / 1.5 and 2p / 3 are the same correctly rounded quotient
-    return _round_down(inst, pricing, 2.0, 1.5)
+    return _round_down(inst, pricing, 1.0)
 
 
 def round_pricing_eps(inst: Instance, pricing: Pricing, eps: float) -> Pricing:
-    """Round p/r down onto the ratio-(1+eps) grid, r = 1 + sqrt(eps/(1+eps)).
+    """Round p/r down onto the grid of the scheme run at eps in (0, 1].
 
-    Each positive component lands in (p_i / ((1+eps) r), p_i / r]; profit
-    loses at most a factor 1/guarantee_factor(eps).  Zero prices stay zero.
+    Below eps = 1 the grid ratio is 1+eps and r = 1 + sqrt(eps/(1+eps)), so
+    each positive component lands in (p_i / ((1+eps) r), p_i / r]; eps = 1
+    is round_pricing_half.  Profit loses at most a factor
+    1/guarantee_factor(eps).  Zero prices stay zero.
 
     The guarantee is a lower bound only.  On a pricing that is not optimal
     the rounded profit may exceed the original, because cheaper items sell
     to more bidders; only from an optimal pricing does rounding never gain.
     """
-    if not 0 < eps < 1:
-        raise InvalidEpsilonError(f"eps must lie in (0, 1), got {eps}")
-    return _round_down(inst, pricing, 1.0 + eps, 1.0 + math.sqrt(eps / (1.0 + eps)))
+    return _round_down(inst, pricing, eps)
 
 
-def guarantee_factor(eps: float, *, half_rounding: bool = False) -> float:
-    """Provable lower bound on sol(rounded) / sol(original).
-
-    With half_rounding the factor of the dedicated ratio-2 scheme (1/4)
-    is returned; otherwise the general formula for the ratio-(1+eps) scheme,
-    which tends to 1 as eps goes to 0.
+def guarantee_factor(eps: float) -> float:
+    """Provable lower bound on sol(rounded) / sol(original) for the scheme
+    round_pricing_eps runs at eps: 1/4 at eps = 1, and below 1 a factor
+    that tends to 1 as eps goes to 0.
 
     The bound is one-sided: nothing caps the ratio from above.  On a pricing
     that is not optimal, rounding may raise profit, because cheaper items
     sell to more bidders, so the ratio can exceed 1.
     """
-    if not 0 < eps <= 1:
-        raise InvalidEpsilonError(f"eps must lie in (0, 1], got {eps}")
-    if half_rounding:
-        if eps != 1:
-            raise InvalidEpsilonError("the dedicated half rounding is an eps = 1 scheme")
-        return 0.25
-    return 1.0 / (2.0 * math.sqrt(eps * (1.0 + eps)) + 2.0 * eps + 1.0)
+    return _scheme(eps)[2]

@@ -485,6 +485,14 @@ _ORDER_CHECKS = (
     ("P", "U"),
 )
 
+# each find_strict_instance target: the relaxation pairs (lo, hi) it wants
+# strictly apart, LR_lo < LR_hi - ORDER_TOL
+STRICT_TARGETS = {"i-stm": (("I", "STM"),), "l-p-u": (("L", "P"), ("P", "U"))}
+
+
+def _strictly_below(values: dict[str, float], lo: str, hi: str) -> bool:
+    return values[lo] < values[hi] - ORDER_TOL
+
 
 def compare_relaxations(inst: Instance, *, price_bound: bool = True) -> RelaxationReport:
     """Solve all five relaxations and verify the proven ordering.
@@ -509,7 +517,7 @@ def compare_relaxations(inst: Instance, *, price_bound: bool = True) -> Relaxati
             delta = values[lo] - values[hi]
             if delta > ORDER_TOL:
                 violations.append((f"LR_{lo} <= LR_{hi}", delta))
-        if values["L"] - values["I"] > ORDER_TOL:
+        if _strictly_below(values, "I", "L"):
             log.info(
                 "instance with LR_I < LR_L found: %.9g < %.9g",
                 values["I"], values["L"],
@@ -522,14 +530,16 @@ def find_strict_instance(
 ) -> Optional[tuple[str, Instance, RelaxationReport]]:
     """Search small generated instances for a strict relaxation separation.
 
-    target "i-stm" wants LR_I < LR_STM - 1e-6; target "l-p-u" wants
-    LR_L < LR_P - 1e-6 and LR_P < LR_U - 1e-6.  Returns (description,
-    instance, report) for the first hit within the budget, None otherwise.
+    The target names the pairs STRICT_TARGETS holds for it: "i-stm" wants
+    LR_I < LR_STM - 1e-6; "l-p-u" wants LR_L < LR_P - 1e-6 and LR_P < LR_U -
+    1e-6.  Returns (description, instance, report) for the first hit within
+    the budget, None otherwise.
     """
     from .generators import MODELS, generate, preset
 
-    if target not in ("i-stm", "l-p-u"):
+    if target not in STRICT_TARGETS:
         raise ValueError(f"unknown search target {target!r}")
+    pairs = STRICT_TARGETS[target]
     for trial in range(budget):
         model = MODELS[trial % 3]
         n = 3 + (trial // 3) % 4
@@ -540,11 +550,6 @@ def find_strict_instance(
         report = compare_relaxations(inst)
         if report.failed:
             continue
-        v = report.values
-        if target == "i-stm":
-            hit = v["I"] < v["STM"] - ORDER_TOL
-        else:
-            hit = v["L"] < v["P"] - ORDER_TOL and v["P"] < v["U"] - ORDER_TOL
-        if hit:
+        if all(_strictly_below(report.values, lo, hi) for lo, hi in pairs):
             return f"{model} n={n} seed={seed}", inst, report
     return None

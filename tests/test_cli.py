@@ -9,7 +9,7 @@ from efp.core import validate_instance
 from efp.fileio import save_instance
 from efp.solver import RelaxationReport
 
-from conftest import make_fig1
+from conftest import craft_relaxations, make_fig1
 
 GOLDEN = Path(__file__).parent / "golden" / "solve_fig1_U.csv"
 TIME_COLUMNS = (9, 11)  # wall_seconds, root_seconds vary run to run
@@ -164,6 +164,26 @@ def test_relax_violation_exit_code(fig1_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "compare_relaxations", fake)
     assert main(["relax", fig1_path]) == 2
+
+
+def test_relax_breach_exits_2_through_the_real_comparison(fig1_path, monkeypatch, capsys):
+    # the LPs are crafted, the comparison and its report are the program's
+    craft_relaxations(monkeypatch, {"STM": 1.0, "I": 1.0, "L": 1.0, "P": 1.2, "U": 1.1})
+    assert main(["relax", fig1_path]) == 2
+    out, err = capsys.readouterr()
+    assert "LR_P <= LR_U off by 0.1" in out
+    assert "relaxation ordering violated: solver bug" in err
+
+
+def test_find_strict_targets_are_the_solvers(capsys):
+    from efp.solver import STRICT_TARGETS
+
+    assert main(["find-strict", "--help"]) == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage.startswith("usage: efp find-strict ")
+    assert usage.endswith(" {" + ",".join(STRICT_TARGETS) + "}")
+    assert main(["find-strict", "nonsense"]) == 1
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
 
 def test_round_worked_example(fig1_path, capsys):

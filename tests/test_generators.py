@@ -7,6 +7,7 @@ from efp.fileio import serialize_instance
 from efp.generators import (
     CharacteristicsConfig,
     EdgeBudgetInfeasibleError,
+    MODELS,
     InvalidConfigError,
     NeighborhoodConfig,
     PopularityConfig,
@@ -114,6 +115,28 @@ def test_config_rejects_non_finite_floats(model, field, value):
     config = dataclasses.replace(preset(model, 8), **{field: value})
     with pytest.raises(InvalidConfigError, match=f"{field} must be finite"):
         config.validate()
+
+
+@pytest.mark.parametrize(
+    "model, other", [(m, o) for m in MODELS for o in MODELS if m != o]
+)
+def test_generate_rejects_another_models_config(model, other):
+    # unchecked, a generator would read fields its config lacks, such as
+    # the popularity model's edge count e on a CharacteristicsConfig
+    config = preset(other, 8)
+    with pytest.raises(InvalidConfigError, match=type(config).__name__) as raised:
+        generate(model, config, seed=0)
+    assert repr(model) in str(raised.value)
+
+
+def test_generate_rejects_an_unknown_model():
+    with pytest.raises(InvalidConfigError, match="unknown model 'nonsense'"):
+        generate("nonsense", preset("popularity", 8), seed=0)
+
+
+def test_models_keep_their_order():
+    # the study and the benchmarks index MODELS by position
+    assert MODELS == ("characteristics", "neighborhood", "popularity")
 
 
 @pytest.mark.parametrize("ell, h", [(-1e9, -1e9), (0.0, 100.0), (-5.0, 100.0)])

@@ -207,15 +207,17 @@ def test_round_eps_at_apex(fig1):
         assert abs(k - round(k)) <= 1e-9
 
 
-@pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.2])
+@pytest.mark.parametrize("eps", [0.0, 1.5, -0.2])
 def test_round_eps_domain(fig1, eps):
     with pytest.raises(InvalidEpsilonError):
         round_pricing_eps(fig1, Pricing((1, 1, 1)), eps)
 
 
 def test_guarantee_factor_values():
-    assert guarantee_factor(1.0, half_rounding=True) == 0.25
-    assert abs(guarantee_factor(1.0) - 1 / (2 * math.sqrt(2) + 3)) < 1e-12
+    # eps = 1 runs the dedicated ratio-2 scheme, so its factor is that
+    # scheme's, not the general formula's 1 / (2 sqrt(2) + 3)
+    assert guarantee_factor(1.0) == 0.25
+    assert abs(guarantee_factor(0.5) - 1 / (2 * math.sqrt(0.75) + 2)) < 1e-12
     # loss vanishes as the grid refines
     expected = 1 / (2 * math.sqrt(0.01 * 1.01) + 1.02)
     assert abs(guarantee_factor(0.01) - expected) < 1e-12
@@ -228,7 +230,7 @@ def test_guarantee_factor_domain():
     with pytest.raises(InvalidEpsilonError):
         guarantee_factor(1.5)
     with pytest.raises(InvalidEpsilonError):
-        guarantee_factor(0.5, half_rounding=True)
+        guarantee_factor(math.nan)
 
 
 def _corpus(count):
@@ -245,6 +247,15 @@ def _corpus(count):
             continue
         out.append((inst, random_pricing(rng, inst)))
     return out
+
+
+def test_round_eps_at_one_is_the_half_rounding():
+    # eps = 1 selects the dedicated ratio-2 scheme: the same bits as
+    # round_pricing_half on criteria 5/6's corpus
+    for inst, pricing in _corpus(1000):
+        at_one = round_pricing_eps(inst, pricing, 1.0)
+        half = round_pricing_half(inst, pricing)
+        assert [p.hex() for p in at_one.prices] == [p.hex() for p in half.prices]
 
 
 def test_half_rounding_profit_bound_sample():

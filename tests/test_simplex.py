@@ -1,4 +1,6 @@
 import inspect
+import logging
+import math
 import time
 from dataclasses import replace
 
@@ -10,6 +12,7 @@ from scipy import sparse
 
 from efp import simplex
 from efp import solver as solver_module
+from efp.allocation import is_envy_free
 from efp.core import validate_instance
 from efp.formulations import (
     ALL_KINDS,
@@ -902,6 +905,48 @@ def test_confirmed_warm_infeasible_is_checked_and_retried():
     assert child.iterations == (
         warm.iterations + confirmation.iterations + retry.iterations
     )
+
+
+def test_a_point_rejected_twice_is_numerical(monkeypatch):
+    # every optimal basis is taken to price a slot in, so the first run's
+    # point is rejected, and so is the retry's.  The retry's block is made
+    # singular, so it runs from the plain slack basis, pivots, and on this
+    # market ends at another optimal vertex: the result must keep the first
+    # run's point and objective, with the pivots of both runs
+    inst = generate("characteristics", preset("characteristics", 6), 0)
+    lp, _, _ = _lp(build(inst, FormulationKind.STM))
+    runs, solve, getrf = [], SimplexSolver._solve, simplex.dgetrf
+
+    def spy_solve(self, *args):
+        runs.append(solve(self, *args))
+        return runs[-1]
+
+    monkeypatch.setattr(SimplexSolver, "_priced_out", lambda self, tableau: False)
+    monkeypatch.setattr(SimplexSolver, "_solve", spy_solve)
+    monkeypatch.setattr(simplex, "dgetrf", lambda a, **kw: (*getrf(a, **kw)[:2], 1))
+    result = lp.solve()
+    first, retry = runs
+    assert first.status == retry.status == "optimal"
+    assert retry.iterations and not np.array_equal(retry.x, first.x)
+    assert result.status == "numerical" and lp.singular_blocks == 1
+    assert np.array_equal(result.x, first.x)
+    assert result.objective == first.objective
+    assert result.iterations == first.iterations + retry.iterations
+
+
+def test_a_numerical_root_closes_the_search_with_an_open_bound(monkeypatch, caplog):
+    # the root LP ends "numerical": its bound is not trusted, so the search
+    # warns, keeps the greedy incumbent from its point and reports bound inf
+    inst = make_fig1()
+    monkeypatch.setattr(SimplexSolver, "_priced_out", lambda self, tableau: False)
+    with caplog.at_level(logging.WARNING, logger="efp.solver"):
+        result = solve_mip(build(inst, FormulationKind.U), inst)
+    assert result.status == "feasible"
+    assert result.bound == math.inf and result.gap == math.inf
+    assert math.isnan(result.root_relaxation)
+    assert is_envy_free(inst, result.incumbent.pricing, result.incumbent.allocation)[0]
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "numerical" in caplog.records[0].getMessage()
 
 
 def _feasible_as_before(lp, x, lob, upb):

@@ -26,7 +26,7 @@ from efp.solver import (
     solve_mip,
 )
 
-from conftest import make_fig1
+from conftest import craft_relaxations, make_fig1
 from reference_lp import (
     MARKET_HIGHS_SOLVE_ERROR,
     reference_lp_optimum,
@@ -458,6 +458,48 @@ def test_relaxation_report_on_worked_instance(fig1):
     assert v["P"] < v["U"] - 1e-6
 
 
+@pytest.mark.parametrize(
+    "values, breach",
+    [
+        ({"STM": 0.9, "I": 1.0, "L": 1.0, "P": 1.0, "U": 1.0}, "LR_I <= LR_STM"),
+        ({"STM": 2.0, "I": 1.1, "L": 1.0, "P": 1.2, "U": 1.3}, "LR_I <= LR_L"),
+        ({"STM": 1.0, "I": 1.0, "L": 1.1, "P": 1.0, "U": 1.0}, "LR_L <= LR_P"),
+        ({"STM": 1.0, "I": 1.0, "L": 1.0, "P": 1.2, "U": 1.1}, "LR_P <= LR_U"),
+    ],
+)
+def test_each_ordering_breach_is_reported(monkeypatch, fig1, values, breach):
+    # crafted LP values breach exactly one proven inequality, by 0.1
+    craft_relaxations(monkeypatch, values)
+    report = compare_relaxations(fig1)
+    assert report.values == values
+    assert report.failed == ()
+    [(name, delta)] = report.violations
+    assert name == breach
+    assert delta == pytest.approx(0.1)
+    assert not report.ok()
+
+
+def test_a_failed_relaxation_is_nan_and_skips_the_ordering(monkeypatch, fig1):
+    # LR_I > LR_STM would be a breach, but with P failed no ordering is checked
+    craft_relaxations(monkeypatch, {"STM": 1.0, "I": 2.0, "L": 2.0, "P": None, "U": 3.0})
+    report = compare_relaxations(fig1)
+    assert math.isnan(report.values["P"])
+    assert report.values["I"] == 2.0
+    assert report.failed == ("P",)
+    assert report.violations == ()
+    assert not report.ok()
+
+
+def test_a_strict_i_below_l_is_logged(monkeypatch, caplog, fig1):
+    craft_relaxations(monkeypatch, {"STM": 2.0, "I": 1.0, "L": 1.5, "P": 2.0, "U": 2.0})
+    with caplog.at_level(logging.INFO, logger="efp.solver"):
+        report = compare_relaxations(fig1)
+    assert report.ok()
+    assert [r.getMessage() for r in caplog.records] == [
+        "instance with LR_I < LR_L found: 1 < 1.5"
+    ]
+
+
 def test_single_edge_relaxations_coincide():
     inst = validate_instance(1, 1, [(0, 0, 5.0)])
     report = compare_relaxations(inst)
@@ -529,7 +571,7 @@ def test_find_strict_instances():
     assert report.values["L"] < report.values["P"] - 1e-6
     assert report.values["P"] < report.values["U"] - 1e-6
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown search target 'nonsense'"):
         find_strict_instance("nonsense")
 
 
