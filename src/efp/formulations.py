@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
@@ -85,11 +85,7 @@ class MipModel:
 
     def __post_init__(self) -> None:
         nvars, nrows = len(self.names), len(self.row_names)
-        if len(set(self.names)) != nvars or len(set(self.row_names)) != nrows:
-            raise ValueError("variable names and constraint names must be unique")
-        for sense in set(self.senses) - {"<=", ">=", "="}:
-            row = self.row_names[self.senses.index(sense)]
-            raise ValueError(f"constraint {row} has sense {sense!r}")
+        _check_labels(self.names, self.row_names, self.senses)
         for j in np.flatnonzero(self.integer & ((self.lb != 0) | (self.ub != 1)))[:1]:
             raise ValueError(f"integer variable {self.names[j]} must be binary")
         if self.c.shape != (nvars,):
@@ -148,6 +144,19 @@ class MipModel:
             Constraint(row, MappingProxyType(dict(zip(cols[s:e], data[s:e]))), sense, rhs)
             for row, s, e, sense, rhs in rows
         )
+
+
+@lru_cache(maxsize=64)  # every build of one layout passes the same tuples
+def _check_labels(
+    names: tuple[str, ...], row_names: tuple[str, ...], senses: tuple[str, ...]
+) -> None:
+    """Names are unique and every sense is known; a failed check is not
+    cached, so it raises on every model that fails it."""
+    if len(set(names)) != len(names) or len(set(row_names)) != len(row_names):
+        raise ValueError("variable names and constraint names must be unique")
+    for sense in set(senses) - {"<=", ">=", "="}:
+        row = row_names[senses.index(sense)]
+        raise ValueError(f"constraint {row} has sense {sense!r}")
 
 
 @cache  # so every model of one layout shares its label strings

@@ -6,10 +6,11 @@ market prices.  Valuations of an item cluster around its market price via a
 Gaussian whose deviation scales with that price; draws are rejected until the
 valuation is strictly positive.
 
-One table names each model with its config type and generator: MODELS lists
-its names in order, and generate dispatches through it, rejecting a config of
-another model.  The checks every config shares, finite floats and positive m
-and n, are made once, in _check_common.
+One table names each model with its config type, generator and preset:
+MODELS lists its names in order, and preset and generate dispatch through
+it, generate rejecting a config of another model.  The checks every config
+shares, finite floats and positive m and n, are made once, in
+_check_common.
 
 All randomness flows through one SplitMix64 counter stream per generation
 call, so identical (config, seed) pairs reproduce instances byte-for-byte
@@ -20,6 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cache
+from itertools import count
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -288,6 +292,42 @@ def gen_popularity(cfg: PopularityConfig, seed: int) -> Instance:
     return validate_instance(cfg.m, cfg.n, edges)
 
 
+def _characteristics_preset(n: int) -> CharacteristicsConfig:
+    c = max(1, math.ceil(math.log(8 / n) / math.log(7 / 8)))
+    return CharacteristicsConfig(m=n, n=n, c=c, o=8, p_pref=7, ell=1.0, h=100.0, d=0.25)
+
+
+def _neighborhood_preset(n: int) -> NeighborhoodConfig:
+    return NeighborhoodConfig(m=n, n=n, r=math.sqrt(8.0 / (n * math.pi)), h=3.0, M=10.0)
+
+
+def _popularity_preset(n: int) -> PopularityConfig:
+    return PopularityConfig(m=n, n=n, e=8 * n, Q=200.0, d=0.25)
+
+
+class _Model(NamedTuple):
+    config: type
+    generator: Callable[..., Instance]
+    preset: Callable[[int], object]
+
+
+# each model's config type, generator and preset; MODELS keeps the table's
+# order, which the study and the benchmarks index by position
+_MODELS = {
+    "characteristics": _Model(CharacteristicsConfig, gen_characteristics,
+                              _characteristics_preset),
+    "neighborhood": _Model(NeighborhoodConfig, gen_neighborhood, _neighborhood_preset),
+    "popularity": _Model(PopularityConfig, gen_popularity, _popularity_preset),
+}
+MODELS = tuple(_MODELS)
+
+
+def _model(model: str) -> _Model:
+    if model not in _MODELS:
+        raise InvalidConfigError(f"unknown model {model!r}")
+    return _MODELS[model]
+
+
 def preset(model: str, n: int):
     """Experiment configuration for a square market with n items and n bidders.
 
@@ -300,34 +340,26 @@ def preset(model: str, n: int):
     """
     if n < 2:
         raise InvalidConfigError("presets need n >= 2")
-    if model == "characteristics":
-        c = max(1, math.ceil(math.log(8 / n) / math.log(7 / 8)))
-        return CharacteristicsConfig(
-            m=n, n=n, c=c, o=8, p_pref=7, ell=1.0, h=100.0, d=0.25
-        )
-    if model == "neighborhood":
-        return NeighborhoodConfig(m=n, n=n, r=math.sqrt(8.0 / (n * math.pi)), h=3.0, M=10.0)
-    if model == "popularity":
-        return PopularityConfig(m=n, n=n, e=8 * n, Q=200.0, d=0.25)
-    raise InvalidConfigError(f"unknown model {model!r}")
+    return _model(model).preset(n)
 
 
-# each model's config type and generator; MODELS keeps the table's order,
-# which the study and the benchmarks index by position
-_MODELS = {
-    "characteristics": (CharacteristicsConfig, gen_characteristics),
-    "neighborhood": (NeighborhoodConfig, gen_neighborhood),
-    "popularity": (PopularityConfig, gen_popularity),
-}
-MODELS = tuple(_MODELS)
+@cache
+def smallest_preset_size(model: str) -> int:
+    """The smallest n whose preset's edge budget fits the market: 8 for
+    popularity, whose 8n edges must fit into n^2 pairs, and 2 for the
+    others."""
+    for n in count(2):
+        try:
+            preset(model, n).validate()
+        except EdgeBudgetInfeasibleError:
+            continue
+        return n
 
 
 def generate(model: str, config, seed: int) -> Instance:
     """Hand a config produced by preset() (or built directly) to its model's
     generator; a config of another model is an input error."""
-    if model not in _MODELS:
-        raise InvalidConfigError(f"unknown model {model!r}")
-    config_type, generator = _MODELS[model]
+    config_type, generator, _ = _model(model)
     if not isinstance(config, config_type):
         raise InvalidConfigError(
             f"model {model!r} takes a {config_type.__name__}, "

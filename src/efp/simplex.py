@@ -61,11 +61,12 @@ MAX_ITERATIONS pivots over all its runs, or stops with status
 "iteration-limit".  A is held once, sparse (CSR; a dense A is converted on
 entry), with >= rows folded in by a +-1 row sign.  Only the tableau is dense,
 kept Fortran-ordered so the rank-1 pivot update runs as a BLAS ger call in
-place; desk-scale models stay within a few thousand columns.  On a large
-tableau whose pivot row is sparse, the update gathers the columns the row
-reaches, runs ger on those alone and scatters them back (_reach); the rest
-would only have had +-0.0 added.  The pricing LPs are sparse: a pivot row of
-the presolved n=50 U root (950 x 500) holds about 1% nonzeros.
+place; desk-scale models stay within a few thousand columns.  On a tableau
+of more than 20,000 entries whose pivot row is sparse, the update gathers
+the columns the row reaches, runs ger on those alone and scatters them back
+(_reach); the rest would only have had +-0.0 added.  The pricing LPs are
+sparse: a pivot row of the presolved n=50 U root (950 x 500) holds about 1%
+nonzeros, and one of the n=15 U search tableaus (up to 288 x 159) 4-10%.
 
 The tableau is condensed (a dictionary, as in Chvatal's *Linear
 Programming*): it keeps B^-1 A_N, one column per nonbasic slot, and not the
@@ -76,17 +77,20 @@ are not in column order, so every tie among entering candidates goes to the
 slot holding the lowest column, as on the full tableau; the pivot sequence
 and every value are those of the full tableau.
 
-Each loop keeps the state it reads at every iteration rather than gathering
-it from the tableau again (_loop_state).  Per slot it keeps a sign, the way
+A tableau carries the state both loops read at every iteration, so that
+neither gathers it again (_loop_state).  Per slot it keeps a sign, the way
 the slot's nonbasic can move off its bound: +1 at its lower bound, -1 at
 its upper bound, 0 when it is fixed.  The primal improving test is then one
 product, sgn * d > OPTIMALITY_TOL, and the dual loop's eligible slots are
 those where alpha * sgn points the right way.  Per row it keeps the upper
 bound of the row's basic, and the primal loop also which of those bounds
-are finite.  A bound flip changes one slot's sign; a pivot changes slot j's
-sign, for the leaving variable, and row r's bound, for the entering one.
-The state only saves work: every choice, and so every pivot, is the one
-the loops made when they gathered it afresh at every iteration.
+are finite.  The state is computed once per LP, when _refactor builds the
+tableau or _resolve moves its bounds; a bound flip changes one slot's
+sign, and a pivot changes slot j's sign, for the leaving variable, and row
+r's bound, for the entering one.  The dual loop, the primal loop and the
+reduced-cost check (_priced_out) all read the same arrays.  The state only
+saves work: every choice, and so every pivot, is the one the loops made
+when they gathered it afresh at every iteration.
 """
 
 from __future__ import annotations
@@ -122,6 +126,9 @@ class _Tableau(NamedTuple):
     ubp: np.ndarray  # upper bounds of y
     d: np.ndarray  # reduced costs of c, per slot
     lob: np.ndarray
+    # the loop state (_loop_state), kept current by _pivot and bound flips
+    sgn: np.ndarray  # per slot, the way its nonbasic can move off its bound
+    ub_row: np.ndarray  # per row, the upper bound of its basic
 
 
 @dataclass
@@ -177,9 +184,13 @@ class SimplexSolver:
         self.ub = np.asarray(ub, dtype=float)
         if np.any(np.isneginf(self.lb)):
             raise ValueError("all variables need finite lower bounds")
-        # A with the >= rows negated, by entry: row of each, and its value
+        # A with the >= rows negated, and the row of each entry.  Negation is
+        # exact, so _signed @ x is row_sign * (A @ x) up to the sign of a zero
         self._rows = np.repeat(np.arange(len(kind)), np.diff(self.A.indptr))
-        self._data = self.row_sign[self._rows] * self.A.data
+        self._signed = sparse.csr_array(
+            (self.row_sign[self._rows] * self.A.data, self.A.indices, self.A.indptr),
+            shape=self.A.shape,
+        )
         self.singular_blocks = 0  # stored bases that could not be factorised
         # the crash start of every cold start: structurals flagged here rest
         # at their upper bound, where it is finite
@@ -220,7 +231,7 @@ class SimplexSolver:
         """
         lob = self.lb if lb is None else np.asarray(lb, dtype=float)
         upb = self.ub if ub is None else np.asarray(ub, dtype=float)
-        if np.any(upb - lob < -1e-12):
+        if (upb - lob < -1e-12).any():
             return SimplexResult("infeasible", float("nan"), None, 0)
         cap = MAX_ITERATIONS
         result = None
@@ -262,12 +273,14 @@ class SimplexSolver:
         the scaled test (max(1, |rhs|) >= 1 and rounding is monotone), so
         only a side that fails it builds its scaled tolerances.
         """
-        excess = self.row_sign * (self.A @ x) - self.b
+        excess = self._signed @ x - self.b
         excess = np.where(self._le, excess, np.abs(excess))
         return bool(
-            np.all(excess <= self._row_tol)
-            and (np.all(x >= lob - RESIDUAL_TOL) or np.all(x >= lob - _residual_tol(lob)))
-            and (np.all(x <= upb + RESIDUAL_TOL) or np.all(x <= upb + _residual_tol(upb)))
+            (excess <= self._row_tol).all()
+            and ((x >= lob - RESIDUAL_TOL).all()
+                 or (x >= lob - _residual_tol(lob)).all())
+            and ((x <= upb + RESIDUAL_TOL).all()
+                 or (x <= upb + _residual_tol(upb)).all())
         )
 
     def _priced_out(self, tableau: _Tableau) -> bool:
@@ -276,10 +289,11 @@ class SimplexSolver:
 
         The loops update d and T pivot by pivot, and after a tiny pivot the
         two can drift apart: d then shows no improving slot where T does.
+        The slot signs are the tableau's kept ones, which no drift touches.
         """
-        T, nb, _, basis, _, _, _, _ = tableau
+        T, nb, _, basis, *_ = tableau
         d = self._cost[nb] - self._cost[basis] @ T
-        return not np.any(_loop_state(tableau)[0] * d > OPTIMALITY_TOL)
+        return not (tableau.sgn * d > OPTIMALITY_TOL).any()
 
     def _solve(
         self,
@@ -327,7 +341,7 @@ class SimplexSolver:
             return None
         if share:  # np.copy keeps T Fortran-ordered
             start.tableau, tableau = tableau, _Tableau(*map(np.copy, tableau))
-        T, nb, val, basis, vstat, ubp, d, old_lob = tableau
+        T, nb, val, basis, vstat, ubp, d, old_lob, *_ = tableau
         nv = self.nvars
 
         # every structural keeps its status and moves with its bound; the
@@ -350,7 +364,9 @@ class SimplexSolver:
                 val -= T[:, place[off]] @ shift[off]
             val[place[moved[basic]]] -= shift[moved[basic]]
         ubp[:nv] = span
-        return self._optimise(tableau._replace(lob=lob), d, max_iterations, deadline)
+        sgn, ub_row = _loop_state(nb, basis, vstat, ubp)  # read at the new bounds
+        tableau = tableau._replace(lob=lob, sgn=sgn, ub_row=ub_row)
+        return self._optimise(tableau, d, max_iterations, deadline)
 
     def _optimise(
         self,
@@ -414,7 +430,7 @@ class SimplexSolver:
         nb = np.concatenate((np.flatnonzero(~basic[:nv]), nv + R1))
         slot = np.full(K, -1)  # each nonbasic column's slot
         slot[nb] = np.arange(nv)
-        rows, cols, data = place[self._rows], self.A.indices, self._data
+        rows, cols, data = place[self._rows], self.A.indices, self._signed.data
         in_s = slot[cols] < 0  # the entries in basic structural columns
         kept = ~in_s
         T = np.zeros((m, nv), order="F")
@@ -448,7 +464,8 @@ class SimplexSolver:
         basis = np.concatenate((S, nv + np.flatnonzero(basic[nv:])))
         ubp = np.concatenate((span, np.where(self._le, np.inf, 0.0)))
         d = self._cost[nb] - self.c[S] @ T[:k]
-        return _Tableau(T, nb, val, basis, vstat, ubp, d, lob)
+        return _Tableau(T, nb, val, basis, vstat, ubp, d, lob,
+                        *_loop_state(nb, basis, vstat, ubp))
 
     def _result(
         self, status: str, tableau: _Tableau, iterations: int
@@ -458,7 +475,7 @@ class SimplexSolver:
         if status == "infeasible":
             return SimplexResult(status, float("nan"), None, iterations)
         nv = self.nvars
-        _, _, val, basis, vstat, ubp, _, lob = tableau
+        _, _, val, basis, vstat, ubp, _, lob, *_ = tableau
         y = np.where(vstat == _UPPER, ubp, 0.0)
         y[basis] = val
         x = y[:nv] + lob
@@ -474,22 +491,23 @@ class SimplexSolver:
     ) -> tuple[str, int]:
         """Primal simplex from a primal feasible basis.
 
-        Of tied slots, the one holding the lowest column enters.  The slot
-        signs and row bounds of _loop_state, and which row bounds are
-        finite, are kept up to date across pivots and bound flips.
+        Of tied slots, the one holding the lowest column enters.  The
+        tableau's slot signs and row bounds, and which row bounds are
+        finite, are kept up to date across pivots and bound flips.  A basis
+        that is already optimal, as after most warm dual runs, returns
+        before any buffer is allocated.
         """
-        T, nb, val, basis, vstat, ubp, d, _ = tableau
+        T, nb, val, basis, vstat, ubp, d, _, sgn, ub_row = tableau
+        candidates = (sgn * d > OPTIMALITY_TOL).nonzero()[0]
+        if not candidates.size:
+            return "optimal", iterations
         m = T.shape[0]
-        sgn, ub_row = _loop_state(tableau)
         finite = np.isfinite(ub_row)
         t_row = np.empty(m)  # the ratio test's step per row
         degenerate = 0
         weight = np.ones(len(nb))  # Devex reference weights, per slot
         while True:
             bland = degenerate > BLAND_TRIGGER
-            candidates = (sgn * d > OPTIMALITY_TOL).nonzero()[0]
-            if not candidates.size:
-                return "optimal", iterations
             if iterations >= max_iterations:
                 return "iteration-limit", iterations
             if deadline is not None and time.perf_counter() > deadline:
@@ -514,7 +532,7 @@ class SimplexSolver:
                 up = g < -PIVOT_TOL
                 up &= finite
                 np.divide(np.maximum(ub_row - val, 0.0), -g, out=t_row, where=up)
-                t_rows = float(t_row.min())
+                t_rows = float(t_row[t_row.argmin()])  # a NaN wins, as in min()
             else:
                 t_rows = np.inf
             t_self = float(ubp[e])
@@ -526,35 +544,38 @@ class SimplexSolver:
                 val -= t_self * g
                 vstat[e] = _UPPER if vstat[e] == _LOWER else _LOWER
                 sgn[j] = -dirn
-                continue
-            if np.isinf(t_rows):
+            elif np.isinf(t_rows):
                 return "unbounded", iterations
-
-            ties = (t_row <= t_rows + 1e-9).nonzero()[0]
-            if ties.size == 1:
-                r = int(ties[0])
-            elif bland:
-                r = int(ties[np.argmin(basis[ties])])
             else:
-                r = int(ties[np.argmax(np.abs(g[ties]))])
-            t = float(t_row[r])
-            if t < DEGENERATE_STEP:
-                degenerate += 1
+                ties = (t_row <= t_rows + 1e-9).nonzero()[0]
+                if ties.size == 1:
+                    r = int(ties[0])
+                elif bland:
+                    r = int(ties[np.argmin(basis[ties])])
+                else:
+                    r = int(ties[np.argmax(np.abs(g[ties]))])
+                t = float(t_row[r])
+                if t < DEGENERATE_STEP:
+                    degenerate += 1
 
-            val -= t * g
-            piv = T[r, j]
-            # row r's step is finite, so its basic fell to 0 exactly when g[r] > 0
-            row = _pivot(
-                tableau, r, j, (0.0 if dirn > 0 else ubp[e]) + dirn * t,
-                _LOWER if g[r] > 0.0 else _UPPER, sgn, ub_row,
-            )
-            finite[r] = ub_row[r] < np.inf
-            # Devex weight propagation onto the reference framework, which
-            # Bland's rule never reads; slot j now holds the leaving variable
-            if not bland:
-                w_e = weight[j]
-                np.maximum(weight, row * row * w_e, out=weight)
-                weight[j] = max(w_e / (piv * piv), 1.0)
+                val -= t * g
+                piv = T[r, j]
+                # row r's step is finite, so its basic fell to 0 exactly when
+                # g[r] > 0
+                row = _pivot(
+                    tableau, r, j, (0.0 if dirn > 0 else ubp[e]) + dirn * t,
+                    _LOWER if g[r] > 0.0 else _UPPER,
+                )
+                finite[r] = ub_row[r] < np.inf
+                # Devex weight propagation onto the reference framework, which
+                # Bland's rule never reads; slot j now holds the leaving variable
+                if not bland:
+                    w_e = weight[j]
+                    np.maximum(weight, row * row * w_e, out=weight)
+                    weight[j] = max(w_e / (piv * piv), 1.0)
+            candidates = (sgn * d > OPTIMALITY_TOL).nonzero()[0]
+            if not candidates.size:
+                return "optimal", iterations
 
     @staticmethod
     def _dual_iterate(
@@ -564,13 +585,12 @@ class SimplexSolver:
 
         "optimal" here means primal feasible; "infeasible" means a row whose
         basic value no nonbasic can move back towards its bound.  Of tied
-        slots, the one holding the lowest column enters.  The slot signs and
-        row bounds of _loop_state are kept up to date across pivots.
+        slots, the one holding the lowest column enters.  The tableau's slot
+        signs and row bounds are kept up to date across pivots.
         """
-        T, nb, val, basis, vstat, ubp, d, _ = tableau
+        T, nb, val, basis, vstat, ubp, d, _, sgn, ub_row = tableau
         if not basis.size:
             return "optimal", iterations
-        sgn, ub_row = _loop_state(tableau)
         degenerate = 0
         while True:
             violation = np.maximum(-val, val - ub_row)
@@ -605,7 +625,7 @@ class SimplexSolver:
             # dual ratio test: the least |d_k / alpha_k| keeps every reduced
             # cost on its optimal side
             ratio = np.abs(d[eligible] / alpha[eligible])
-            step = ratio.min()
+            step = ratio[ratio.argmin()]  # a NaN wins, as in min()
             ties = eligible[ratio <= step + 1e-12]
             key = None if bland or ties.size == 1 else np.abs(alpha[ties])
             j = _lowest(ties, nb, key)
@@ -617,7 +637,7 @@ class SimplexSolver:
             val -= t * T[:, j]
             _pivot(
                 tableau, r, j, (ubp[e] if vstat[e] == _UPPER else 0.0) + t,
-                _LOWER if to_lower else _UPPER, sgn, ub_row,
+                _LOWER if to_lower else _UPPER,
             )
 
 
@@ -626,7 +646,9 @@ def _residual_tol(rhs: np.ndarray) -> np.ndarray:
     return RESIDUAL_TOL * np.maximum(1.0, np.abs(rhs))
 
 
-def _loop_state(tableau: _Tableau) -> tuple[np.ndarray, np.ndarray]:
+def _loop_state(
+    nb: np.ndarray, basis: np.ndarray, vstat: np.ndarray, ubp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The state both loops read at every iteration, kept across pivots.
 
     Per slot, the way its nonbasic can move off its bound: +1 at its lower
@@ -634,7 +656,6 @@ def _loop_state(tableau: _Tableau) -> tuple[np.ndarray, np.ndarray]:
     row, the upper bound of its basic.  A bound flip changes one slot's
     sign; a pivot changes slot j's sign and row r's bound (_pivot).
     """
-    _, nb, _, basis, vstat, ubp, _, _ = tableau
     sgn = np.where(ubp[nb] > 0.0, np.where(vstat[nb] == _UPPER, -1.0, 1.0), 0.0)
     return sgn, ubp[basis]
 
@@ -657,8 +678,6 @@ def _pivot(
     j: int,
     entering_val: float,
     leaving_status: int,
-    sgn: np.ndarray,
-    ub_row: np.ndarray,
 ) -> np.ndarray:
     """Slot j's column enters the basis in row r and the leaving variable
     takes slot j; returns the new pivot row.
@@ -672,7 +691,7 @@ def _pivot(
     reaches.  The loop's state follows: slot j takes the leaving variable's
     sign and row r the entering variable's bound.
     """
-    T, nb, val, basis, vstat, ubp, d, _ = tableau
+    T, nb, val, basis, vstat, ubp, d, _, sgn, ub_row = tableau
     leaving = basis[r]
     vstat[leaving] = leaving_status
     entering = nb[j]
@@ -711,17 +730,19 @@ def _reach(T: np.ndarray, row: np.ndarray) -> np.ndarray | None:
     Elsewhere the update only adds +-0.0, and dger computes every entry it
     touches the same way in a gathered block, so both paths give the same
     bits.  Measured per pivot (one-thread OpenBLAS, 2-core Xeon VM), the
-    gathered path costs about 2.5 us plus 2-4 times the dense update's time
-    per entry.  From 400 x 200 to 2,310 x 1,170 it won below a row density
-    of 25-30%, and by 20x at 1% on 950 x 500.  At 144 x 80 it never won; at
-    264-270 x 136-150 it won below 12-15%, by at most 3 us a pivot, but
-    the n=8 branch-and-bound tableaus are that size and 35-50% dense, and
-    counting their rows' nonzeros slowed a pass over them by about 2%.  So
-    tableaus of up to 65,536 entries stay dense, and larger ones gather
-    below 25%.
+    gathered path costs about 4 us plus 2-4 times the dense update's time
+    per entry, and counting a row's nonzeros about 0.5-1 us.  It won below
+    a row density of about 9% at 200 x 100 to 244 x 126, of 17-20% at
+    264 x 136 to 288 x 159, of 23% at 400 x 200, and by 20x at 1% on
+    950 x 500; at 140 x 85 and 170 x 106 it never won.  The n=15 U
+    branch-and-bound tableaus, 218 x 124 to 288 x 159, have pivot rows 4-10%
+    nonzero on average; the n=8 ones of more than 20,000 entries are 30-65%
+    nonzero, so most of their rows are counted and then updated densely.
+    So tableaus of up to 20,000 entries stay dense, and larger ones gather
+    below 1/6.
     """
     m, n = T.shape
-    if m * n <= 65536:
+    if m * n <= 20000:
         return None
     reach = row.nonzero()[0]
-    return reach if 4 * reach.size < n else None
+    return reach if 6 * reach.size < n else None

@@ -10,14 +10,16 @@ evaluates a model's linear relaxation.
 
 solve_mip runs best-bound branch-and-bound with plunging on the binary
 assignment variables.  Every LP, the root included, passes through one node
-step: primal_heuristic turns its fractional prices into the greedy
-envy-free allocation, which is always feasible, so the incumbent can improve
-at every LP; then the LP is closed (infeasible, failed, or bounded by the
-cutoff) or kept open.  The search returns from one block after its loop, the
-infeasible root included.  After a node's two children, the better one kept
-open (higher bound, then lower LP number) is expanded next, a dive, and the
-other goes on the heap; a dive ends when neither child is kept open, and the
-best bound is popped.  The root is the first dive.
+step: the greedy turns its fractional prices, clipped at 0 as
+primal_heuristic clips them, into the envy-free allocation, which is always
+feasible, so the incumbent can improve at every LP; prices bit-equal to one
+of the last two distinct vectors the search saw are skipped, since their
+outcome was already offered.  Then the LP is closed (infeasible, failed, or
+bounded by the cutoff) or kept open.  The search returns from one block
+after its loop, the infeasible root included.  After a node's two children,
+the better one kept open (higher bound, then lower LP number) is expanded
+next, a dive, and the other goes on the heap; a dive ends when neither child
+is kept open, and the best bound is popped.  The root is the first dive.
 
 The search alone decides which tableaus live.  Every optimal LP result holds
 its final tableau; the node step drops a closed LP's, and shelving a node on
@@ -48,6 +50,7 @@ from itertools import compress
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy import sparse
 
 from .allocation import Outcome, envy_free_allocation
 from .core import Instance, Pricing
@@ -225,12 +228,22 @@ class _Setup(NamedTuple):
     columns: np.ndarray  # model position of each lp column
     fixed_x: np.ndarray  # full-length x: fixed columns at their value, 0 elsewhere
     offset: float  # c @ fixed_x, the fixed columns' share of the objective
+    fixed_prices: np.ndarray  # fixed_x at the model's prices: the lp's read 0
+    live_prices: np.ndarray  # which of the model's prices the lp keeps
+    price_columns: np.ndarray  # the lp column of each kept price
 
     def full(self, x: np.ndarray) -> np.ndarray:
         """The lp's x at full length, in model positions."""
         out = self.fixed_x.copy()
         out[self.columns] = x
         return out
+
+    def prices(self, x: np.ndarray) -> tuple[float, ...]:
+        """The model's prices at the lp's x, clipped at 0 as the greedy reads
+        them: full(x)[model.prices], without the full-length x."""
+        out = self.fixed_prices.copy()
+        out[self.live_prices] = x[self.price_columns]
+        return _clip(out)
 
 
 def _setup(model: MipModel) -> _Setup:
@@ -248,13 +261,32 @@ def _setup(model: MipModel) -> _Setup:
     fixed, rows = _presolve(c, A, model.senses, b, lb, ub, model.integer)
     fixed_x = np.where(fixed, lb, 0.0)
     columns = np.flatnonzero(~fixed)
+    lp_column = np.cumsum(~fixed) - 1  # each kept column's lp position
     lp = SimplexSolver(
-        c[columns], A[np.flatnonzero(rows)][:, columns],
+        c[columns], _submatrix(A, rows, ~fixed, lp_column),
         list(compress(model.senses, rows)), (b - A @ fixed_x)[rows],
         lb[columns], ub[columns], np.isin(columns, model.prices),
     )
     binaries = np.flatnonzero(model.integer[columns])
-    return _Setup(lp, binaries, columns, fixed_x, float(c @ fixed_x))
+    live = ~fixed[model.prices]
+    return _Setup(
+        lp, binaries, columns, fixed_x, float(c @ fixed_x),
+        fixed_x[model.prices], live, lp_column[model.prices[live]],
+    )
+
+
+def _submatrix(A, rows: np.ndarray, kept: np.ndarray, position: np.ndarray):
+    """A[rows][:, kept] in one pass over A's entries, each kept column
+    renumbered by position.  A dropped row keeps no entry, so a kept row's
+    entries start after the kept entries stored before it."""
+    entry = kept[A.indices]
+    entry &= np.repeat(rows, np.diff(A.indptr))
+    idx = np.flatnonzero(entry)
+    indptr = np.searchsorted(idx, A.indptr[np.append(np.flatnonzero(rows), len(rows))])
+    return sparse.csr_array(
+        (A.data[idx], position[A.indices[idx]], indptr),
+        shape=(indptr.size - 1, np.count_nonzero(kept)),
+    )
 
 
 def solve_lp(model: MipModel) -> LpSolution:
@@ -272,26 +304,52 @@ def solve_lp(model: MipModel) -> LpSolution:
     )
 
 
+def _clip(prices) -> tuple[float, ...]:
+    """Prices clipped at 0, a NaN to 0 as well: the prices the greedy reads.
+
+    These are max(0.0, float(p)) for each p: fmax passes a NaN over, and
+    adding 0.0 turns the -0.0 it keeps into 0.0.
+    """
+    return tuple((np.fmax(np.asarray(prices, dtype=float), 0.0) + 0.0).tolist())
+
+
 def primal_heuristic(inst: Instance, prices) -> Outcome:
     """Greedy envy-free outcome at (possibly fractional) LP prices, clipped at 0.
 
     Feasible for every formulation, so it is always a valid incumbent.
     """
-    clipped = tuple(max(0.0, float(p)) for p in prices)
-    return envy_free_allocation(inst, Pricing(clipped))
+    return envy_free_allocation(inst, Pricing(_clip(prices)))
+
+
+def _unseen(
+    recent: list[Optional[tuple[float, ...]]], prices: tuple[float, ...]
+) -> bool:
+    """Whether prices is neither of the two most recent distinct price
+    vectors in recent (most recent first), which then moves it to the front.
+
+    A vector seen before has had its greedy outcome offered to the
+    incumbent, which only rises, so the greedy need not run on it again.
+    Clipped prices hold no NaN and no -0.0, so == is bit equality here.
+    """
+    if prices == recent[0]:
+        return False
+    fresh = prices != recent[1]
+    recent[:] = prices, recent[0]
+    return fresh
 
 
 def _branch_variable(x: np.ndarray, int_idx: np.ndarray) -> Optional[int]:
     """Most-fractional binary; ties to larger LP value, then lower index."""
-    frac = np.abs(x[int_idx] - np.round(x[int_idx]))
+    xi = x[int_idx]
+    frac = np.abs(xi - np.round(xi))
     eligible = frac > INTEGRALITY_TOL
     if not eligible.any():
         return None
-    dist = np.abs(x[int_idx] - 0.5)
+    dist = np.abs(xi - 0.5)
     dist[~eligible] = np.inf
-    best = dist.min()
+    best = dist[dist.argmin()]
     ties = np.flatnonzero(dist <= best + 1e-12)
-    pick = ties[np.argmax(x[int_idx][ties])]
+    pick = ties[np.argmax(xi[ties])]
     return int(int_idx[pick])
 
 
@@ -331,18 +389,19 @@ def solve_mip(
     variables.
 
     Every LP, the root included, passes through one node step: its point,
-    if any, gives a candidate incumbent through primal_heuristic (the first
-    is kept, then any strictly better one), and an optimal LP whose bound
-    exceeds the cutoff, incumbent + gap_tolerance * max(1, |incumbent|), is
-    kept open; every other LP is closed.  One that ends "numerical" or at
-    the iteration limit has no trusted bound, so it is closed with a warning
-    and the search is no longer exhaustive.  An expanded node branches on
-    its most fractional binary, or is dropped if integral.  The better child
-    kept open is expanded next (a dive), the other is pushed on the heap,
-    and when neither is kept open the best bound is popped.  A dive node
-    whose bound no longer beats the cutoff is dropped alone; only a popped
-    node that does not beat it ends the search, since every other open node
-    is then bounded by it.  The search returns from one block after its
+    if any, gives a candidate incumbent, the greedy outcome at its clipped
+    prices (the first is kept, then any strictly better one; prices among
+    the last two distinct vectors seen are not run again), and an optimal
+    LP whose bound exceeds the cutoff, incumbent + gap_tolerance * max(1,
+    |incumbent|), is kept open; every other LP is closed.  One that ends
+    "numerical" or at the iteration limit has no trusted bound, so it is
+    closed with a warning and the search is no longer exhaustive.  An
+    expanded node branches on its most fractional binary, or is dropped if
+    integral.  The better child kept open is expanded next (a dive), the
+    other is pushed on the heap, and when neither is kept open the best
+    bound is popped.  A dive node whose bound no longer beats the cutoff is
+    dropped alone; only a popped node that does not beat it ends the
+    search, since every other open node is then bounded by it.  The search returns from one block after its
     loop: status "infeasible" with NaNs when no LP had a point.
 
     Limits never fail the solve: hitting one reports status "feasible" with
@@ -362,6 +421,8 @@ def solve_mip(
     exhaustive = True
     nodes = 0
     open_nodes: list[_Node] = []  # a heap, each node with its LP's basis only
+    # the last two distinct price vectors of the search, most recent first
+    recent: list[Optional[tuple[float, ...]]] = [None, None]
 
     def scale() -> float:
         return max(1.0, abs(inc_val))
@@ -376,9 +437,11 @@ def solve_mip(
         if res.status == "unbounded":
             raise RuntimeError("pricing formulations are bounded; unbounded LP is a bug")
         if res.x is not None:
-            candidate = primal_heuristic(inst, s.full(res.x)[model.prices])
-            if candidate.profit > inc_val:
-                incumbent, inc_val = candidate, candidate.profit
+            prices = s.prices(res.x)
+            if _unseen(recent, prices):
+                candidate = envy_free_allocation(inst, Pricing(prices))
+                if candidate.profit > inc_val:
+                    incumbent, inc_val = candidate, candidate.profit
         if res.status == "optimal":
             bound, limit = res.objective + s.offset, cutoff()
             if bound > limit:
@@ -535,16 +598,14 @@ def find_strict_instance(
     1e-6.  Returns (description, instance, report) for the first hit within
     the budget, None otherwise.
     """
-    from .generators import MODELS, generate, preset
+    from .generators import MODELS, generate, preset, smallest_preset_size
 
     if target not in STRICT_TARGETS:
         raise ValueError(f"unknown search target {target!r}")
     pairs = STRICT_TARGETS[target]
     for trial in range(budget):
         model = MODELS[trial % 3]
-        n = 3 + (trial // 3) % 4
-        if model == "popularity":
-            n = 8  # its preset needs 8n edges to fit into n^2 pairs
+        n = max(3 + (trial // 3) % 4, smallest_preset_size(model))
         seed = base_seed + trial
         inst = generate(model, preset(model, n), seed)
         report = compare_relaxations(inst)

@@ -5,7 +5,8 @@ when each iteration gathered its slot statuses, slot bounds and row bounds
 afresh from the tableau.  The loops now keep those across pivots; given the
 same tableau, both must make every pivot the same and leave the same bits.
 The constants are bound here at import, so a test that changes
-BLAND_TRIGGER must change it in both modules.
+BLAND_TRIGGER must change it in both modules.  The tableau's kept loop state
+(its last two fields) is neither read nor kept here.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def _iterate(
 
     Of tied slots, the one holding the lowest column enters.
     """
-    T, nb, val, basis, vstat, ubp, d, _ = tableau
+    T, nb, val, basis, vstat, ubp, d, *_ = tableau
     m = T.shape[0]
     degenerate = 0
     weight = np.ones(len(nb))  # Devex reference weights, per slot
@@ -117,7 +118,7 @@ def _dual_iterate(
     basic value no nonbasic can move back towards its bound.  Of tied
     slots, the one holding the lowest column enters.
     """
-    T, nb, val, basis, vstat, ubp, d, _ = tableau
+    T, nb, val, basis, vstat, ubp, d, *_ = tableau
     degenerate = 0
     while True:
         ub_basic = ubp[basis]
@@ -186,7 +187,7 @@ def _pivot(
     -col * (1 / piv) with 1 / piv in row r; it is written so, with the same
     floating-point operations.
     """
-    T, nb, val, basis, vstat, _, d, _ = tableau
+    T, nb, val, basis, vstat, _, d, *_ = tableau
     leaving = basis[r]
     vstat[leaving] = leaving_status
     vstat[nb[j]] = _BASIC

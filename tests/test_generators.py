@@ -19,6 +19,7 @@ from efp.generators import (
     gen_popularity,
     generate,
     preset,
+    smallest_preset_size,
 )
 
 
@@ -216,6 +217,15 @@ def test_preset_rejects_tiny_markets():
         preset("characteristics", 1)
     with pytest.raises(InvalidConfigError):
         preset("nonsense", 10)
+
+
+def test_smallest_preset_size_is_the_first_that_generates():
+    # popularity's 8n edges fit into n^2 pairs from n = 8 on
+    assert [smallest_preset_size(m) for m in MODELS] == [2, 2, 8]
+    with pytest.raises(EdgeBudgetInfeasibleError):
+        generate("popularity", preset("popularity", 7), 0)
+    for model in MODELS:
+        generate(model, preset(model, smallest_preset_size(model)), 0)
 
 
 def test_presets_stay_sparse():

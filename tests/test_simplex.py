@@ -655,24 +655,47 @@ def _copied(result):
     return replace(result, tableau=simplex._Tableau(*arrays))
 
 
+def _fresh_state(tableau):
+    """The tableau's loop state gathered afresh from its statuses and bounds."""
+    return simplex._loop_state(tableau.nb, tableau.basis, tableau.vstat, tableau.ubp)
+
+
+def _state_refreshed(loop):
+    """A reference loop that leaves the tableau's kept loop state as the
+    program's loops do.  The reference gathers that state afresh at every
+    iteration and keeps none, while _priced_out reads the kept state after
+    the loops; so it is written afresh when the loop returns."""
+
+    def run(tableau, *args):
+        outcome = loop(tableau, *args)
+        tableau.sgn[:], tableau.ub_row[:] = _fresh_state(tableau)
+        return outcome
+
+    return run
+
+
 def _solve_twice(monkeypatch):
     """Patch SimplexSolver.solve to solve every LP first with the reference
     loops, on a copy of its start, then with the program's own; the two
-    must agree bit for bit.  Returns the statuses of the LPs compared."""
+    must agree bit for bit, and the state the program's loops kept must be
+    the state gathered afresh.  Returns the statuses of the LPs compared."""
     solve, compared = SimplexSolver.solve, []
 
     def twin(lp, *args, start_from=None, **kwargs):
         with pytest.MonkeyPatch.context() as loops:
             for name in ("_iterate", "_dual_iterate"):
-                loops.setattr(
-                    SimplexSolver, name, staticmethod(getattr(reference_simplex, name))
-                )
+                reference = _state_refreshed(getattr(reference_simplex, name))
+                loops.setattr(SimplexSolver, name, staticmethod(reference))
             want = solve(lp, *args, start_from=_copied(start_from), **kwargs)
         got = solve(lp, *args, start_from=start_from, **kwargs)
         assert (got.status, got.iterations) == (want.status, want.iterations)
         for mine, theirs in ((got.x, want.x), (got.basis, want.basis)):
             assert (mine is None) == (theirs is None)
             assert mine is None or mine.tobytes() == theirs.tobytes()
+        if got.tableau is not None:
+            for kept, fresh in zip((got.tableau.sgn, got.tableau.ub_row),
+                                   _fresh_state(got.tableau)):
+                assert kept.tobytes() == fresh.tobytes()
         compared.append(got.status)
         return got
 
@@ -707,7 +730,8 @@ def test_a_nan_row_never_leaves():
     )
     status = np.array([simplex._LOWER] * 2 + [simplex._BASIC] * 3, dtype=np.int8)
     runs = []
-    for loop in (SimplexSolver._dual_iterate, reference_simplex._dual_iterate):
+    reference = _state_refreshed(reference_simplex._dual_iterate)
+    for loop in (SimplexSolver._dual_iterate, reference):
         tableau = lp._refactor(status, lp.lb, np.full(2, np.inf))
         tableau.val[:] = [np.nan, -2.0, -1.0]
         runs.append((loop(tableau, 1, 0, None), [a.tobytes() for a in tableau]))
@@ -739,18 +763,24 @@ def _mid_solve_tableau(model, pivots):
 
 
 @pytest.mark.parametrize(
-    "size, kind, gathers", [(50, FormulationKind.U, True), (8, FormulationKind.STM, False)]
+    "size, kind, pivots, gathers",
+    [  # the n=15 U root LP ends after 39 pivots
+        pytest.param(50, FormulationKind.U, 60, True, id="50-U-True"),
+        pytest.param(15, FormulationKind.U, 20, True, id="15-U-True"),
+        pytest.param(8, FormulationKind.STM, 60, False, id="8-STM-False"),
+    ],
 )
-def test_both_update_paths_give_the_same_bits(monkeypatch, size, kind, gathers):
-    # the n=50 U root is 950 x 500 and sparse, so its pivots gather the
+def test_both_update_paths_give_the_same_bits(monkeypatch, size, kind, pivots, gathers):
+    # the n=50 U root is 950 x 500 and sparse, and the n=15 U tableau, of
+    # more than 20,000 entries, is sparse too, so their pivots gather the
     # columns the pivot row reaches; the n=8 STM tableau is small and dense
     inst = generate("popularity", preset("popularity", size), 0)
-    tableau, r, j = _mid_solve_tableau(build(inst, kind), 60)
+    tableau, r, j = _mid_solve_tableau(build(inst, kind), pivots)
     runs = []
     for reach in (_always_gather, _never_gather):
         monkeypatch.setattr(simplex, "_reach", reach)
         copy = simplex._Tableau(*(a.copy(order="K") for a in tableau))
-        row = simplex._pivot(copy, r, j, 0.0, simplex._LOWER, *simplex._loop_state(copy))
+        row = simplex._pivot(copy, r, j, 0.0, simplex._LOWER)
         runs.append((copy.T, copy.d, row))
     monkeypatch.undo()
     assert (simplex._reach(runs[0][0], runs[0][2]) is not None) == gathers
@@ -769,6 +799,38 @@ def test_root_lp_is_the_same_on_both_update_paths(monkeypatch):
     assert gathered.iterations == dense.iterations
     assert gathered.x.tobytes() == dense.x.tobytes()
     assert gathered.basis.tobytes() == dense.basis.tobytes()
+
+
+def test_node_lps_are_the_same_on_both_update_paths(monkeypatch):
+    # the n=15 U search: its node LPs start warm from their node's tableau,
+    # and most of their pivots gather under _reach.  Every LP, and so the
+    # search, must be the same with every pivot updating the whole tableau
+    inst = generate("popularity", preset("popularity", 15), 0)
+    model = build(inst, FormulationKind.U)
+    solve, reach, runs, gathered = SimplexSolver.solve, simplex._reach, [], []
+
+    def counted(T, row):
+        columns = reach(T, row)
+        gathered.append(columns is not None)
+        return columns
+
+    for update in (counted, _never_gather):
+        monkeypatch.setattr(simplex, "_reach", update)
+        lps = []
+
+        def spy(lp, *args, **kwargs):
+            result = solve(lp, *args, **kwargs)
+            lps.append((result.status, result.iterations) + tuple(
+                None if a is None else a.tobytes() for a in (result.x, result.basis)
+            ))
+            return result
+
+        monkeypatch.setattr(SimplexSolver, "solve", spy)
+        mip = solve_mip(model, inst, node_limit=40)
+        runs.append((lps, mip.status, mip.incumbent_value, mip.bound, mip.nodes))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) > 40  # the root and every child of 40 nodes
+    assert sum(gathered) > len(gathered) / 2
 
 
 def _fig1_assign_conflict():

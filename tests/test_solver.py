@@ -15,7 +15,7 @@ from efp.allocation import is_envy_free
 from efp.benchmark import run_benchmark
 from efp.core import validate_instance
 from efp.formulations import ALL_KINDS, FormulationKind, build, constraint_violations
-from efp.generators import generate, preset
+from efp.generators import MODELS, generate, preset
 from efp.solver import (
     InvalidLimitError,
     compare_relaxations,
@@ -226,13 +226,18 @@ def test_no_node_on_the_heap_holds_a_tableau(monkeypatch):
         assert len(pushed) >= 3 and all(pushed), limits
 
 
+# the ten markets at n=15 that criterion 10 solves in U
+_CRITERION_10 = (
+    [("popularity", s) for s in range(4)]
+    + [("characteristics", s) for s in range(3)]
+    + [("neighborhood", s) for s in range(3)]
+)
+
+
 def test_criterion_10_markets_close_at_the_reference_optimum():
     # the ten U markets at n=15 that criterion 10 solves, each closed and
     # equal to HiGHS: a search that ends early at a wrong optimum fails here
-    schedule = [("popularity", s) for s in range(4)]
-    schedule += [("characteristics", s) for s in range(3)]
-    schedule += [("neighborhood", s) for s in range(3)]
-    for model_name, seed in schedule:
+    for model_name, seed in _CRITERION_10:
         inst = generate(model_name, preset(model_name, 15), seed)
         model = build(inst, FormulationKind.U)
         result = solve_mip(model, inst)
@@ -241,6 +246,63 @@ def test_criterion_10_markets_close_at_the_reference_optimum():
         assert result.incumbent_value == pytest.approx(
             optimum, abs=1e-6 * max(1.0, abs(optimum))
         ), (model_name, seed)
+
+
+def _searches(markets, limits):
+    """Each market's search in each formulation, as the fields a search
+    reports, and the greedy runs of them all."""
+    greedy, calls = solver.envy_free_allocation, []
+
+    def counted(*args):
+        calls.append(None)
+        return greedy(*args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(solver, "envy_free_allocation", counted)
+        results = [
+            solve_mip(build(inst, kind), inst, **limits)
+            for inst, kinds in markets for kind in kinds
+        ]
+    fields = [
+        (r.status, r.incumbent_value, r.bound, r.nodes, r.root_relaxation)
+        for r in results
+    ]
+    return fields, len(calls)
+
+
+@pytest.mark.parametrize("workload", ["criterion 10 uncapped", "n=8, five kinds"])
+def test_skipping_the_greedy_on_a_repeated_price_vector_is_exact(monkeypatch, workload):
+    # a price vector seen among the last two has already offered its greedy
+    # outcome to the incumbent, so skipping it changes no search, only the
+    # greedy's run count
+    if workload == "criterion 10 uncapped":
+        schedule, size, kinds, limits = _CRITERION_10, 15, (FormulationKind.U,), {}
+    else:
+        schedule = [(model, s) for model in MODELS for s in range(10)]
+        size, kinds, limits = 8, ALL_KINDS, {"node_limit": 16}
+    markets = [(generate(m, preset(m, size), s), kinds) for m, s in schedule]
+    skipped, skipping_calls = _searches(markets, limits)
+    monkeypatch.setattr(solver, "_unseen", lambda recent, prices: True)
+    every, every_calls = _searches(markets, limits)
+    assert skipped == every
+    assert skipping_calls < every_calls
+
+
+def test_prices_are_clipped_as_max_with_zero():
+    # the greedy's prices, and the keys of repeated vectors, are bit for bit
+    # max(0.0, float(p)): a NaN and -0.0 become 0.0
+    prices = [0.0, -0.0, 1.5, -2.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324]
+    want = [max(0.0, float(p)) for p in prices]
+    assert np.array(solver._clip(prices)).tobytes() == np.array(want).tobytes()
+
+
+def test_a_price_vector_moves_to_the_front_when_seen():
+    recent = [None, None]
+    a, b, c = (1.0, 2.0), (1.0, 3.0), (0.0, 2.0)
+    assert [solver._unseen(recent, p) for p in (a, b, a, b, c, a)] == [
+        True, True, False, False, True, True
+    ]
+    assert recent == [a, c]
 
 
 def test_time_limit_reports_feasible():
