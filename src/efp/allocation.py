@@ -59,6 +59,10 @@ def best_response(
     Items the bidder values at zero never beat that: their utility is -p <= 0.
     """
     _check_dims(inst, pricing)
+    if not 0 <= bidder < inst.num_bidders:
+        raise ValueError(
+            f"bidder {bidder + 1} is out of range for {inst.num_bidders} bidders"
+        )
     (item,), (utility,), _ = _greedy((inst.by_bidder[bidder],), pricing.prices)
     return None if item is None else (item, utility)
 

@@ -60,9 +60,10 @@ def floor_geometric(x: float, grid: GeometricGrid) -> float:
 
     Conventions beyond the grid's natural domain: x >= apex returns the apex
     itself (a price above the top element sells nothing anyway) and x = 0
-    returns 0 (the grid never reaches 0).
+    returns 0 (the grid never reaches 0).  A NaN is rejected as a negative
+    value is.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"cannot floor a negative value: {x}")
     if x == 0:
         return 0.0

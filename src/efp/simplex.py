@@ -7,7 +7,7 @@ variable leave at its lower or upper bound or lets the entering variable flip
 bounds without a basis change.
 
 Every column lives in one fixed column space: the structurals, then one
-logical per row (the slack of a <= row, >= rows folded in by a -1 row sign;
+logical per row (the slack of a <= row, a >= row being negated into one;
 for an = row, a logical fixed at 0).  A basis is one status per column, and
 one builder, _refactor, computes the tableau of any basis.  A solve runs
 three steps, each written once.
@@ -56,17 +56,18 @@ Pricing is Devex (approximate steepest edge); Bland's rule engages after a
 run of degenerate pivots to guarantee termination, in both loops (every
 phase-1 pivot is degenerate in the zero objective).  A deadline (an absolute
 ``time.perf_counter()`` value) is checked once per pivot; a loop that passes
-it stops with status "time-limit".  One solve() call makes at most
-MAX_ITERATIONS pivots over all its runs, or stops with status
-"iteration-limit".  A is held once, sparse (CSR; a dense A is converted on
-entry), with >= rows folded in by a +-1 row sign.  Only the tableau is dense,
-kept Fortran-ordered so the rank-1 pivot update runs as a BLAS ger call in
-place; desk-scale models stay within a few thousand columns.  On a tableau
-of more than 20,000 entries whose pivot row is sparse, the update gathers
-the columns the row reaches, runs ger on those alone and scatters them back
-(_reach); the rest would only have had +-0.0 added.  The pricing LPs are
-sparse: a pivot row of the presolved n=50 U root (950 x 500) holds about 1%
-nonzeros, and one of the n=15 U search tableaus (up to 288 x 159) 4-10%.
+it stops with status "time-limit".  One solve() call keeps one pivot count
+over all its runs and makes at most MAX_ITERATIONS pivots, or stops with
+status "iteration-limit".  A is held once, sparse (CSR, each row sorted; a
+dense A is converted on entry), in <=/= form: its >= rows are negated, as
+is b.  Only the tableau is dense, kept Fortran-ordered so the rank-1 pivot
+update runs as a BLAS ger call in place; desk-scale models stay within a
+few thousand columns.  On a tableau of more than 20,000 entries whose
+pivot row is sparse, the update gathers the columns the row reaches, runs
+ger on those alone and scatters them back (_reach); the rest would only
+have had +-0.0 added.  The pricing LPs are sparse: a pivot row of the
+presolved n=50 U root (950 x 500) holds about 1% nonzeros, and one of the
+n=15 U search tableaus (up to 288 x 159) 4-10%.
 
 The tableau is condensed (a dictionary, as in Chvatal's *Linear
 Programming*): it keeps B^-1 A_N, one column per nonbasic slot, and not the
@@ -96,7 +97,7 @@ when they gathered it afresh at every iteration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -147,7 +148,8 @@ class SimplexResult:
 
 
 class SimplexSolver:
-    """Reusable standard-form data; each solve() call builds its own tableau,
+    """Reusable standard-form data, held once in <=/= form (A and b copied
+    with the >= rows negated); each solve() call builds its own tableau,
     takes over a held one or rebuilds one from a stored basis (start_from).
 
     Bounds passed to solve() override the stored ones, which is how
@@ -168,14 +170,19 @@ class SimplexSolver:
     ) -> None:
         self.nvars = len(c)
         self.c = np.asarray(c, dtype=float)
-        self.A = sparse.csr_array(A, dtype=float, copy=True)
-        self.A.sum_duplicates()  # _refactor writes each entry once
         unknown = set(senses) - {"<=", "=", ">="}
         if unknown:
             raise ValueError(f"unknown constraint sense {unknown.pop()!r}")
         kind = np.asarray(senses, dtype=str)
-        self.row_sign = np.where(kind == ">=", -1.0, 1.0)
-        self.b = self.row_sign * np.asarray(b, dtype=float)
+        row_sign = np.where(kind == ">=", -1.0, 1.0)
+        # A x (<=, =) b with the >= rows negated, exactly; sum_duplicates
+        # sorts each row, and _refactor writes each entry once.  0.0 - b
+        # keeps a zero rhs +0.0, so a tight row's slack b - A x is +0.0
+        self.A = sparse.csr_array(A, dtype=float, copy=True)
+        self.A.sum_duplicates()
+        self._rows = np.repeat(np.arange(len(kind)), np.diff(self.A.indptr))
+        self.A.data *= row_sign[self._rows]
+        self.b = np.where(row_sign < 0, 0.0 - np.asarray(b, dtype=float), b)
         self._le = kind != "="
         self._row_tol = _residual_tol(self.b)  # the rows' bound, for _feasible
         self.senses = np.where(self._le, "<=", "=").tolist()
@@ -184,13 +191,6 @@ class SimplexSolver:
         self.ub = np.asarray(ub, dtype=float)
         if np.any(np.isneginf(self.lb)):
             raise ValueError("all variables need finite lower bounds")
-        # A with the >= rows negated, and the row of each entry.  Negation is
-        # exact, so _signed @ x is row_sign * (A @ x) up to the sign of a zero
-        self._rows = np.repeat(np.arange(len(kind)), np.diff(self.A.indptr))
-        self._signed = sparse.csr_array(
-            (self.row_sign[self._rows] * self.A.data, self.A.indices, self.A.indptr),
-            shape=self.A.shape,
-        )
         self.singular_blocks = 0  # stored bases that could not be factorised
         # the crash start of every cold start: structurals flagged here rest
         # at their upper bound, where it is finite
@@ -225,45 +225,40 @@ class SimplexSolver:
         singular); a second failure is "numerical", with the first point,
         and a retry cut short by the cap or the deadline reports that limit.
         An optimal result holds its final tableau until a start_from solve
-        takes it over or its owner drops it.  All runs of one call together
-        make at most MAX_ITERATIONS pivots, read at the call.  deadline is
-        an absolute time.perf_counter() value.
+        takes it over or its owner drops it.  All runs of one call share one
+        pivot count: each continues the count of the runs before it, and the
+        call makes at most MAX_ITERATIONS pivots.  deadline is an absolute
+        time.perf_counter() value.
         """
         lob = self.lb if lb is None else np.asarray(lb, dtype=float)
         upb = self.ub if ub is None else np.asarray(ub, dtype=float)
         if (upb - lob < -1e-12).any():
             return SimplexResult("infeasible", float("nan"), None, 0)
-        cap = MAX_ITERATIONS
         result = None
         if start_from is not None:
-            result = self._resolve(start_from, lob, upb, cap, deadline, share_start)
+            result = self._resolve(start_from, lob, upb, 0, deadline, share_start)
         if result is None or result.status == "infeasible":
             # a warm "infeasible" is confirmed by the cold start
             spent = 0 if result is None else result.iterations
-            cold = self._solve(lob, upb, self.start_at_upper, cap - spent, deadline)
-            result = replace(cold, iterations=spent + cold.iterations)
+            result = self._solve(lob, upb, self.start_at_upper, spent, deadline)
         if result.status == "optimal" and not (
             self._feasible(result.x, lob, upb) and self._priced_out(result.tableau)
         ):
             # one retry, from the rejected basis factorised afresh
             result.tableau = None  # one tableau alive at a time
-            budget = cap - result.iterations
-            retry = self._resolve(result, lob, upb, budget, deadline)
+            retry = self._resolve(result, lob, upb, result.iterations, deadline)
             if retry is None:
                 # the plain slack basis: the crash start could replay the
                 # run that drifted
-                retry = self._solve(lob, upb, None, budget, deadline)
-            iterations = result.iterations + retry.iterations
+                retry = self._solve(lob, upb, None, result.iterations, deadline)
             if retry.status in ("iteration-limit", "time-limit") or (
                 retry.status == "optimal" and self._feasible(retry.x, lob, upb)
                 and self._priced_out(retry.tableau)
             ):
-                # a retry cut short reports its limit: no check failed twice
-                result = replace(retry, iterations=iterations)
-            else:
-                result = SimplexResult(
-                    "numerical", result.objective, result.x, iterations
-                )
+                return retry  # a retry cut short reports its limit
+            return SimplexResult(
+                "numerical", result.objective, result.x, retry.iterations
+            )
         return result
 
     def _feasible(self, x: np.ndarray, lob: np.ndarray, upb: np.ndarray) -> bool:
@@ -273,7 +268,7 @@ class SimplexSolver:
         the scaled test (max(1, |rhs|) >= 1 and rounding is monotone), so
         only a side that fails it builds its scaled tolerances.
         """
-        excess = self._signed @ x - self.b
+        excess = self.A @ x - self.b
         excess = np.where(self._le, excess, np.abs(excess))
         return bool(
             (excess <= self._row_tol).all()
@@ -291,22 +286,25 @@ class SimplexSolver:
         two can drift apart: d then shows no improving slot where T does.
         The slot signs are the tableau's kept ones, which no drift touches.
         """
-        T, nb, _, basis, *_ = tableau
-        d = self._cost[nb] - self._cost[basis] @ T
+        d = self._reduced_costs(tableau)
         return not (tableau.sgn * d > OPTIMALITY_TOL).any()
+
+    def _reduced_costs(self, tableau: _Tableau) -> np.ndarray:
+        """The reduced costs of c computed afresh from the tableau, c_N - c_B T."""
+        return self._cost[tableau.nb] - self._cost[tableau.basis] @ tableau.T
 
     def _solve(
         self,
         lob: np.ndarray,
         upb: np.ndarray,
         start_at_upper: np.ndarray | None,
-        max_iterations: int,
+        spent: int,
         deadline: float | None,
     ) -> SimplexResult:
         """Optimise from the slack basis, crash-started: the structurals
         flagged in start_at_upper (None flags none) rest at their upper
         bound, which can make the start point feasible.  Phase 1 is the dual
-        loop on a zero objective."""
+        loop on a zero objective.  spent is the call's pivots so far."""
         nv = self.nvars
         span = np.maximum(upb - lob, 0.0)
         crash = np.full(nv + len(self.b), _BASIC, dtype=np.int8)
@@ -314,18 +312,18 @@ class SimplexSolver:
         if start_at_upper is not None:
             crash[:nv][start_at_upper & np.isfinite(span) & (span > 0)] = _UPPER
         tableau = self._refactor(crash, lob, span)
-        return self._optimise(tableau, np.zeros(nv), max_iterations, deadline)
+        return self._optimise(tableau, np.zeros(nv), spent, deadline)
 
     def _resolve(
         self,
         start: SimplexResult,
         lob: np.ndarray,
         upb: np.ndarray,
-        max_iterations: int,
+        spent: int,
         deadline: float | None,
         share: bool = False,
     ) -> SimplexResult | None:
-        """Optimise start's basis under new bounds.
+        """Optimise start's basis under new bounds, spent pivots into the call.
 
         start's kept tableau is taken over; without one its basis is
         factorised afresh.  With share, start keeps the tableau, kept or
@@ -366,13 +364,13 @@ class SimplexSolver:
         ubp[:nv] = span
         sgn, ub_row = _loop_state(nb, basis, vstat, ubp)  # read at the new bounds
         tableau = tableau._replace(lob=lob, sgn=sgn, ub_row=ub_row)
-        return self._optimise(tableau, d, max_iterations, deadline)
+        return self._optimise(tableau, d, spent, deadline)
 
     def _optimise(
         self,
         tableau: _Tableau,
         d: np.ndarray,
-        max_iterations: int,
+        spent: int,
         deadline: float | None,
     ) -> SimplexResult:
         """The dual loop on reduced costs d, then the primal loop on the
@@ -382,17 +380,17 @@ class SimplexSolver:
         dual feasible.  A cold start passes a zero d, for which every basis
         is dual feasible, so the dual loop is phase 1: it ends at a feasible
         basis or at a row that proves the LP infeasible.  A phase 1 that
-        pivoted has its basis priced afresh.
+        pivoted has its basis priced afresh.  Both loops continue the call's
+        count from spent, up to MAX_ITERATIONS.
         """
         status, iterations = self._dual_iterate(
-            tableau._replace(d=d), max_iterations, 0, deadline
+            tableau._replace(d=d), MAX_ITERATIONS, spent, deadline
         )
         if status == "optimal":
-            if iterations and d is not tableau.d:  # a phase 1 that pivoted
-                d = self._cost[tableau.nb] - self._cost[tableau.basis] @ tableau.T
-                tableau = tableau._replace(d=d)
+            if iterations > spent and d is not tableau.d:  # a phase 1 that pivoted
+                tableau = tableau._replace(d=self._reduced_costs(tableau))
             status, iterations = self._iterate(
-                tableau, max_iterations, iterations, deadline
+                tableau, MAX_ITERATIONS, iterations, deadline
             )
         return self._result(status, tableau, iterations)
 
@@ -426,11 +424,11 @@ class SimplexSolver:
         vstat[:nv][(vstat[:nv] == _UPPER) & np.isinf(span)] = _LOWER
         y = np.where(vstat[:nv] == _UPPER, span, 0.0)
         val = np.empty(m)
-        val[place] = self.b - self.row_sign * (self.A @ (lob + y))
+        val[place] = self.b - self.A @ (lob + y)
         nb = np.concatenate((np.flatnonzero(~basic[:nv]), nv + R1))
         slot = np.full(K, -1)  # each nonbasic column's slot
         slot[nb] = np.arange(nv)
-        rows, cols, data = place[self._rows], self.A.indices, self._signed.data
+        rows, cols, data = place[self._rows], self.A.indices, self.A.data
         in_s = slot[cols] < 0  # the entries in basic structural columns
         kept = ~in_s
         T = np.zeros((m, nv), order="F")

@@ -133,8 +133,8 @@ class RelaxationReport:
 def model_arrays(model: MipModel):
     """The model's names and arrays with A dense, for reference solvers.
 
-    Nothing in the library calls it.  It stays because perfbench's HiGHS
-    reference and tracer, and the tests' reference LP, read models through it.
+    Only perfbench/ calls it: its HiGHS reference reads models through it,
+    and its tracer wraps it.
     """
     m = model
     return m.names, m.c, m.A.toarray(), m.senses, m.b, m.lb, m.ub, m.integer
@@ -250,14 +250,14 @@ def _setup(model: MipModel) -> _Setup:
     """The presolved LP of one model and its binary positions.
 
     The LP keeps the columns and rows _presolve leaves, so its objective
-    lacks the fixed columns' offset and full() maps its x back.  A is taken
-    with each row's entries sorted, the canonical CSR form.  The LP is built
-    with the model's price columns as its crash start: every envy-style row
-    holds when each price sits at the item's maximum valuation, so the slack
-    basis is feasible and phase 1 (the dual loop on a zero objective) makes
-    no pivot whenever the price cap is active.
+    lacks the fixed columns' offset and full() maps its x back.  A is read
+    as build() wrote it; the LP sorts the rows it keeps.  Its crash start is
+    the model's price columns: every envy-style row holds when each price
+    sits at the item's maximum valuation, so the slack basis is feasible and
+    phase 1 (the dual loop on a zero objective) makes no pivot whenever the
+    price cap is active.
     """
-    c, A, b, lb, ub = model.c, model.A.sorted_indices(), model.b, model.lb, model.ub
+    c, A, b, lb, ub = model.c, model.A, model.b, model.lb, model.ub
     fixed, rows = _presolve(c, A, model.senses, b, lb, ub, model.integer)
     fixed_x = np.where(fixed, lb, 0.0)
     columns = np.flatnonzero(~fixed)

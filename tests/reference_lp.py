@@ -4,7 +4,6 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from efp.formulations import MipModel
-from efp.solver import model_arrays
 
 # (item, bidder) -> value on 5 items x 4 bidders: HiGHS's presolve stops
 # with a solve error on its capped P model
@@ -16,23 +15,20 @@ MARKET_HIGHS_SOLVE_ERROR = {
 
 
 def _lp_value(c, A, senses, b, lb, ub) -> float:
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for row, sense, rhs in zip(A, senses, b):
-        if sense == "<=":
-            A_ub.append(row)
-            b_ub.append(rhs)
-        elif sense == ">=":
-            A_ub.append(-row)
-            b_ub.append(-rhs)
-        else:
-            A_eq.append(row)
-            b_eq.append(rhs)
+    """max c x over A x (senses) b, lb <= x <= ub, A in CSR.  linprog takes
+    the >= rows negated, with the <= rows, and the = rows on their own."""
+    senses = np.asarray(senses)
+    sign = np.where(senses == ">=", -1.0, 1.0)
+    A = A.copy()
+    A.data *= np.repeat(sign, np.diff(A.indptr))
+    b = sign * b
+    le, eq = senses != "=", senses == "="
     res = linprog(
         -c,
-        A_ub=np.array(A_ub) if A_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(A_eq) if A_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
+        A_ub=A[le] if le.any() else None,
+        b_ub=b[le] if le.any() else None,
+        A_eq=A[eq] if eq.any() else None,
+        b_eq=b[eq] if eq.any() else None,
         bounds=list(zip(lb, ub)),
         method="highs",
     )
@@ -43,8 +39,7 @@ def _lp_value(c, A, senses, b, lb, ub) -> float:
 
 def reference_lp_optimum(model: MipModel) -> float:
     """Optimal relaxation value via an unrelated solver implementation."""
-    _, c, A, senses, b, lb, ub, _ = model_arrays(model)
-    return _lp_value(c, A, senses, b, lb, ub)
+    return _lp_value(model.c, model.A, model.senses, model.b, model.lb, model.ub)
 
 
 def reference_mip_optimum(model: MipModel) -> float:
@@ -58,8 +53,8 @@ def reference_mip_optimum(model: MipModel) -> float:
     the capped P model of MARKET_HIGHS_SOLVE_ERROR; those are solved once
     more with the presolve off.
     """
-    _, c, A, senses, b, lb, ub, integer = model_arrays(model)
-    senses = np.array(senses)
+    c, A, b, lb, ub = model.c, model.A, model.b, model.lb, model.ub
+    integer, senses = model.integer, np.array(model.senses)
     row_lb = np.where(senses == "<=", -np.inf, b)
     row_ub = np.where(senses == ">=", np.inf, b)
     for presolve in (True, False):

@@ -21,7 +21,6 @@ from efp.oracle import brute_force_optimal
 from efp.solver import (
     compare_relaxations,
     find_strict_instance,
-    model_arrays,
     solve_lp,
     solve_mip,
 )
@@ -334,13 +333,13 @@ def test_criterion_10_desk_scale_performance():
         u_time = time.perf_counter() - start
         assert u_sol.status == "optimal"
 
-        names, c, A, senses, b, lb, ub, _ = model_arrays(
-            build(inst, FormulationKind.STM)
-        )
+        stm = build(inst, FormulationKind.STM)
         import numpy as np
 
-        crash = np.array([n.startswith("p_") for n in names])
-        solver = SimplexSolver(c, A, senses, b, lb, ub, start_at_upper=crash)
+        crash = np.array([n.startswith("p_") for n in stm.names])
+        solver = SimplexSolver(
+            stm.c, stm.A, stm.senses, stm.b, stm.lb, stm.ub, start_at_upper=crash
+        )
         with pytest.MonkeyPatch.context() as censor:
             censor.setattr(simplex, "MAX_ITERATIONS", 600)
             start = time.perf_counter()

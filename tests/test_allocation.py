@@ -43,6 +43,13 @@ def test_best_response_full_tie_takes_lowest_index():
     assert item == 0
 
 
+@pytest.mark.parametrize("bidder, named", [(-1, 0), (4, 5)])
+def test_best_response_rejects_a_bidder_out_of_range(fig1, bidder, named):
+    # fig1 has four bidders: -1 would read the last one, 4 none
+    with pytest.raises(ValueError, match=f"bidder {named} is out of range for 4"):
+        best_response(fig1, Pricing((5, 8, 3)), bidder)
+
+
 def test_envy_free_allocation_profit_13(fig1):
     outcome = envy_free_allocation(fig1, Pricing((5, 8, 3)))
     assert outcome.profit == 13.0

@@ -38,6 +38,11 @@ def test_floor_rejects_negative():
         floor_geometric(-1.0, GRID7)
 
 
+def test_floor_rejects_nan():
+    with pytest.raises(ValueError, match="cannot floor a negative value: nan"):
+        floor_geometric(math.nan, GRID7)
+
+
 def test_grid_requires_positive_apex():
     with pytest.raises(NonPositiveApexError):
         GeometricGrid(0.0, 2.0)

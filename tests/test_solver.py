@@ -706,13 +706,18 @@ def test_presolve_fixes_exactly_the_zero_value_pairs(fig1):
         for kind in ALL_KINDS:
             model = build(inst, kind)
             A = model.A.sorted_indices()
-            fixed, rows = solver._presolve(
-                model.c, A, model.senses, model.b, model.lb, model.ub, model.integer
-            )
+            rest = (model.senses, model.b, model.lb, model.ub, model.integer)
+            fixed, rows = solver._presolve(model.c, model.A, *rest)
             assert {model.names[j] for j in np.flatnonzero(fixed)} == _zero_value_pairs(inst)
-            # the solver holds exactly the kept rows and columns of A
+            # the same from A as built and with each row's entries sorted
+            for got, want in zip((fixed, rows), solver._presolve(model.c, A, *rest)):
+                assert np.array_equal(got, want)
+            # the solver holds exactly the kept rows and columns of A, each
+            # row's entries sorted and a >= row's negated
             lp = solver._setup(model).lp
             kept = A[rows][:, ~fixed]
+            sign = np.where(np.asarray(model.senses)[rows] == ">=", -1.0, 1.0)
+            kept.data *= np.repeat(sign, np.diff(kept.indptr))
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(lp.A, part), getattr(kept, part)), part
             if inst is popularity and kind is FormulationKind.U:
