@@ -6,7 +6,7 @@ then to the lowest item index.  One loop, run by envy_free_allocation, profit
 and best_response, scans each bidder's (item, value) row once under that rule.
 The resulting allocation is envy-free and maximizes the auctioneer's profit
 among all envy-free allocations for that pricing, which a brute-force
-enumerator verifies on tiny instances.
+enumerator verifies on tiny instances.  Outcome.of prices any allocation.
 """
 
 from __future__ import annotations
@@ -40,6 +40,18 @@ class Outcome:
     allocation: Allocation
     profit: float
     utilities: tuple[float, ...]
+
+    @classmethod
+    def of(cls, inst: Instance, pricing: Pricing, allocation: Allocation) -> Outcome:
+        """The outcome of `allocation` at `pricing`, envy-free or not: the sold
+        items' prices summed in bidder order, and each bidder's valuation less
+        price, 0 when unserved."""
+        sold = allocation.assignment
+        total = sum(pricing[i] for i in sold if i is not None)
+        utilities = tuple(
+            0.0 if i is None else inst.value(i, b) - pricing[i] for b, i in enumerate(sold)
+        )
+        return cls(pricing, allocation, total, utilities)
 
 
 def _check_dims(inst: Instance, pricing: Pricing) -> None:
@@ -153,17 +165,11 @@ def allocation_brute_force(inst: Instance, pricing: Pricing) -> Outcome:
     best: Optional[Outcome] = None
     # m encodes "no item" so that product() covers unserved bidders too
     for combo in itertools.product(range(m + 1), repeat=n):
-        assignment = tuple(i if i < m else None for i in combo)
-        allocation = Allocation(assignment)
-        ok, _ = is_envy_free(inst, pricing, allocation)
-        if not ok:
+        allocation = Allocation(tuple(i if i < m else None for i in combo))
+        if not is_envy_free(inst, pricing, allocation)[0]:
             continue
-        total = sum(pricing[i] for i in assignment if i is not None)
-        if best is None or total > best.profit:
-            utilities = tuple(
-                inst.value(i, b) - pricing[i] if i is not None else 0.0
-                for b, i in enumerate(assignment)
-            )
-            best = Outcome(pricing, allocation, total, utilities)
+        outcome = Outcome.of(inst, pricing, allocation)
+        if best is None or outcome.profit > best.profit:
+            best = outcome
     assert best is not None  # the greedy allocation is envy-free and enumerated
     return best

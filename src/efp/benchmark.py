@@ -3,8 +3,8 @@
 One CSV row per (instance, formulation) solve with a fixed column order;
 aggregates per (size, formulation) mirror the solved-count / mean-final-gap /
 mean-root-relaxation-seconds structure of the reference tables.  Mean gaps
-are taken over unsolved instances only and left empty when everything
-solved.
+are taken over unsolved instances only, and a solve that raised counts as an
+instance but in neither mean; a mean over no rows is left empty.
 """
 
 from __future__ import annotations
@@ -92,19 +92,18 @@ def write_rows(path: str | Path, rows: Iterable[BenchmarkRow], append: bool = Fa
 
 def aggregate(rows: Sequence[BenchmarkRow]) -> list[dict[str, str]]:
     """Per (model, formulation, size): solved count, mean gap over unsolved,
-    mean root-relaxation seconds."""
+    mean root-relaxation seconds.  An error row counts in instances only: it
+    measured nothing, so no mean reads its placeholders."""
     groups: dict[tuple[str, str, str], list[BenchmarkRow]] = {}
     for row in rows:
         groups.setdefault((row.model, row.formulation, row.size), []).append(row)
     out = []
     for (model, kind, size), members in sorted(groups.items()):
-        solved = [r for r in members if r.status == "optimal"]
-        unsolved = [r for r in members if r.status != "optimal"]
-        mean_gap = (
-            fmt(sum(r.gap for r in unsolved) / len(unsolved)) if unsolved else ""
-        )
-        mean_root = fmt(sum(r.root_seconds for r in members) / len(members))
-        values = (model, kind, size, str(len(members)), str(len(solved)), mean_gap, mean_root)
+        measured = [r for r in members if r.status != "error"]
+        gaps = [r.gap for r in measured if r.status != "optimal"]
+        roots = [r.root_seconds for r in measured]
+        means = (fmt(sum(x) / len(x)) if x else "" for x in (gaps, roots))
+        values = (model, kind, size, str(len(members)), str(len(measured) - len(gaps)), *means)
         out.append(dict(zip(AGGREGATE_COLUMNS, values)))
     return out
 

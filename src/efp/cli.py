@@ -12,10 +12,12 @@ verbosity; at debug, branch-and-bound names each LP's and each node's fate.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import logging
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import benchmark as bench
@@ -45,12 +47,13 @@ log = logging.getLogger("efp.cli")
 USAGE_ERROR = 1
 INVARIANT_ERROR = 2
 
-# library errors that mean the input was bad, not that the program is
+# errors that mean the input was bad, not the program; an OSError names its file
 _INPUT_ERRORS = (
     InvalidConfigError,
     InvalidEpsilonError,
     InvalidLimitError,
     NonPositiveApexError,
+    OSError,
     TooLargeError,
 )
 
@@ -79,9 +82,7 @@ def _configure_logging() -> None:
 def _load(path: str) -> Instance:
     try:
         return load_instance(path)
-    except FileNotFoundError:
-        raise CliError(f"no such instance file: {path}") from None
-    except FormatError as exc:
+    except (FormatError, UnicodeDecodeError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -209,11 +210,9 @@ def cmd_relax(args) -> int:
             yell = True
             log.error("ordering violation on %s: %s", path, notes)
         out_rows.append([Path(path).stem, *map(bench.fmt, report.values.values()), notes])
-    text = "\n".join(",".join(row) for row in out_rows) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        print(text, end="")
+    sink = open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout)
+    with sink as handle:  # csv quotes a stem or a note that holds a comma
+        csv.writer(handle, lineterminator="\n").writerows(out_rows)
     if yell:
         print("relaxation ordering violated: solver bug", file=sys.stderr)
         return INVARIANT_ERROR
@@ -398,6 +397,8 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         return args.func(args)
+    except BrokenPipeError:  # stdout's reader went away: console_main's case
+        raise
     except (CliError, *_INPUT_ERRORS) as exc:
         print(f"efp: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

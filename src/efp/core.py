@@ -2,8 +2,9 @@
 
 A market instance is a sparse valuation matrix over items x bidders.  Zero
 valuations are represented by absence; every stored entry is strictly
-positive.  All types are immutable after construction and safe to share
-across threads.
+positive.  Instance.matrix is the one dense copy of it, built at most once
+per instance, which the formulations and the oracle read.  All types are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 # Absolute tolerance for equality comparisons on valuations, prices and
 # utilities throughout the package.
@@ -86,12 +89,13 @@ class Instance:
         return tuple(tuple(r) for r in rows)
 
     @cached_property
-    def by_item(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per-item list of (bidder, valuation) pairs, bidders ascending."""
-        rows: list[list[tuple[int, float]]] = [[] for _ in range(self.num_items)]
-        for (i, b), v in sorted(self.valuations.items()):
-            rows[i].append((b, v))
-        return tuple(tuple(r) for r in rows)
+    def matrix(self) -> np.ndarray:
+        """Read-only items x bidders array of the valuations, 0 where absent."""
+        V = np.zeros((self.num_items, self.num_bidders))
+        if self.valuations:
+            V[tuple(np.array(list(self.valuations)).T)] = list(self.valuations.values())
+        V.flags.writeable = False
+        return V
 
     def sorted_edges(self) -> Iterator[tuple[int, int, float]]:
         """Edges as (item, bidder, value), ordered by (item, bidder)."""

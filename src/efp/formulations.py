@@ -8,8 +8,8 @@ that to the full item set, L drops the price-cap rows from I, and P and U are
 the compact two- and one-sided big-M variants.  Big-M constants are the
 per-item maxima R and, for U, R plus the per-bidder maxima S.
 
-A model is the solver's arrays.  build() writes them with numpy from the
-dense valuation matrix, one block of rows at a time, each a fixed-width
+A model is the solver's arrays.  build() writes them with numpy from
+Instance.matrix, one block of rows at a time, each a fixed-width
 template per row flattened by a keep mask.  So rows keep their declaration
 order, terms with a zero valuation stay out and explicit zeros (U's
 R_i + S_b - v_ib) stay in.  Names are for views and the LP export only.
@@ -31,7 +31,7 @@ import numpy as np
 from scipy import sparse
 
 from .allocation import Outcome
-from .core import Allocation, Instance, Pricing, derive_constants
+from .core import Allocation, Instance, Pricing
 
 
 class InfeasibleAssignmentError(ValueError):
@@ -202,9 +202,7 @@ def build(inst: Instance, kind: FormulationKind, *, price_bound: bool = True) ->
     kind = FormulationKind(kind)
     U, P = kind is FormulationKind.U, kind is FormulationKind.P
     m, n = inst.num_items, inst.num_bidders
-    V = np.zeros((m, n))
-    if inst.valuations:
-        V[tuple(np.array(list(inst.valuations)).T)] = list(inst.valuations.values())
+    V = inst.matrix
     R, S, VT, mn = V.max(axis=1), V.max(axis=0), V.T, m * n
     X = np.arange(mn).reshape(m, n)  # the column of x_ib
     # the auxiliary column of pair (i, b): u_b in U, z_b in P, otherwise ph_ib
@@ -307,8 +305,8 @@ def extract_outcome(
     """Read an outcome off an integral-feasible variable assignment.
 
     Verifies integrality of the assignment variables and every constraint
-    within 1e-6, then rebuilds the pricing and allocation and recomputes the
-    profit, which must match the model objective within 1e-6.  Pass
+    within 1e-6, then reads the pricing and allocation and prices them with
+    Outcome.of, whose profit must match the model objective within 1e-6.  Pass
     price_bound=False for assignments coming from a model built without the
     per-item price cap.
     """
@@ -326,20 +324,14 @@ def extract_outcome(
         )
     prices = Pricing(tuple(np.maximum(x[model.prices], 0.0).tolist()))
     sold = np.round(x[: m * n]).reshape(m, n) == 1
-    assignment = tuple(
-        int(i) if sold[i, b] else None for b, i in enumerate(sold.argmax(axis=0))
-    )
-    total = sum(prices[i] for i in assignment if i is not None)
-    utilities = tuple(
-        inst.value(i, b) - prices[i] if i is not None else 0.0
-        for b, i in enumerate(assignment)
-    )
+    items = [int(i) if sold[i, b] else None for b, i in enumerate(sold.argmax(axis=0))]
+    outcome = Outcome.of(inst, prices, Allocation(tuple(items)))
     declared = objective_value(model, values)
-    if abs(total - declared) > tol:
+    if abs(outcome.profit - declared) > tol:
         raise InfeasibleAssignmentError(
-            f"profit {total} does not match objective {declared}"
+            f"profit {outcome.profit} does not match objective {declared}"
         )
-    return Outcome(prices, Allocation(assignment), total, utilities)
+    return outcome
 
 
 def embed_outcome(
@@ -356,7 +348,7 @@ def embed_outcome(
     m, n = inst.num_items, inst.num_bidders
     names = build(inst, kind).names
     x = np.zeros(len(names))
-    prices = np.minimum(outcome.pricing.prices, derive_constants(inst).item_max)
+    prices = np.minimum(outcome.pricing.prices, inst.matrix.max(axis=1))
     x[m * n : m * n + m] = prices
     U = kind == FormulationKind.U  # kind may be the kind's name
     per_bidder = U or kind == FormulationKind.P

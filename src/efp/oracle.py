@@ -1,16 +1,18 @@
 """Candidate-price enumeration: a certified lower bound on the optimum.
 
-Each item's price ranges over its positive valuations plus zero; every
-combination is evaluated through the greedy envy-free allocation.  Whether an
-optimum always lies on this grid is unknown, so the result is documented as a
-lower bound only; observed equality with the exact solver is logged, never
-asserted.
+Each item's price ranges over zero and the positive entries of its row of
+Instance.matrix; every combination is evaluated through the greedy envy-free
+allocation.  Whether an optimum always lies on this grid is unknown, so the
+result is documented as a lower bound only; observed equality with the exact
+solver is logged, never asserted.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+
+import numpy as np
 
 from .allocation import Outcome, TooLargeError, envy_free_allocation
 from .core import Instance, Pricing
@@ -23,11 +25,7 @@ MAX_COMBINATIONS = 10**7
 
 def candidate_prices(inst: Instance) -> list[tuple[float, ...]]:
     """Per-item sorted candidate sets {0} union {v_ib > 0}."""
-    out = []
-    for i in range(inst.num_items):
-        values = sorted({v for _, v in inst.by_item[i]})
-        out.append((0.0, *values))
-    return out
+    return [(0.0, *np.unique(row[row > 0]).tolist()) for row in inst.matrix]
 
 
 def brute_force_optimal(inst: Instance) -> Outcome:

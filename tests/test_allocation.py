@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efp.allocation import (
+    Outcome,
     TooLargeError,
     allocation_brute_force,
     best_response,
@@ -11,7 +12,7 @@ from efp.allocation import (
     profit,
 )
 from efp.core import TOLERANCE, Allocation, Pricing, validate_instance
-from efp.generators import SeededRng
+from efp.generators import MODELS, SeededRng, generate, preset, smallest_preset_size
 
 import reference_greedy
 from conftest import random_instance, random_pricing
@@ -142,6 +143,29 @@ def test_served_bidders_stay_served_under_lower_prices():
         before = set(envy_free_allocation(inst, base).allocation.served())
         after = set(envy_free_allocation(inst, lower).allocation.served())
         assert before <= after
+
+
+def test_outcome_of_the_greedy_allocation_is_the_greedy_outcome():
+    # the greedy keeps its fused loop; Outcome.of prices its allocation the
+    # same way, profit bits included
+    rng = SeededRng(27)
+    for model in MODELS:
+        for n in range(smallest_preset_size(model), 11):
+            inst = generate(model, preset(model, n), n)
+            for _ in range(20):
+                pricing = random_pricing(rng, inst)
+                greedy = envy_free_allocation(inst, pricing)
+                outcome = Outcome.of(inst, pricing, greedy.allocation)
+                assert outcome == greedy
+                assert outcome.profit.hex() == greedy.profit.hex()
+
+
+def test_outcome_of_prices_any_allocation(fig1):
+    # bidders 2 and 4 pay more than they value item 2: Outcome.of prices an
+    # allocation as given, envy-free or not
+    outcome = Outcome.of(fig1, Pricing((5, 8, 3)), Allocation((None, 1, 0, 1)))
+    assert outcome.profit == 21.0
+    assert outcome.utilities == (0.0, -1.0, 1.0, -2.0)
 
 
 def test_determinism(fig1):

@@ -1,4 +1,6 @@
 import csv
+import math
+from dataclasses import replace
 
 from efp.benchmark import (
     AGGREGATE_COLUMNS,
@@ -53,6 +55,21 @@ def test_aggregate_solved_and_gap():
     assert float(entry["mean_gap_unsolved"]) == 0.25
     all_solved = aggregate([_row(), _row()])[0]
     assert all_solved["mean_gap_unsolved"] == ""
+
+
+def test_aggregate_error_rows_count_in_instances_only():
+    # an error row's placeholders (gap NaN, root seconds 0.0) measured nothing
+    error = replace(_row(status="error"), incumbent=math.nan, bound=math.nan,
+                    gap=math.nan, nodes=0, wall_seconds=0.0,
+                    root_relaxation=math.nan, root_seconds=0.0)
+    rows = [_row(), replace(_row(status="feasible", gap=0.1), root_seconds=0.02), error]
+    entry = aggregate(rows)[0]
+    assert (entry["instances"], entry["solved"]) == ("3", "1")
+    assert float(entry["mean_gap_unsolved"]) == 0.1
+    assert float(entry["mean_root_seconds"]) == 0.015
+    only_errors = aggregate([error, error])[0]
+    assert only_errors["instances"] == "2" and only_errors["solved"] == "0"
+    assert only_errors["mean_gap_unsolved"] == only_errors["mean_root_seconds"] == ""
 
 
 def test_solved_count_never_increases_with_size():

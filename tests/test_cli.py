@@ -175,6 +175,46 @@ def test_relax_breach_exits_2_through_the_real_comparison(fig1_path, monkeypatch
     assert "relaxation ordering violated: solver bug" in err
 
 
+def test_relax_table_is_csv_when_names_and_notes_hold_commas(
+    fig1_path, tmp_path, monkeypatch, capsys
+):
+    # "m,1" and "failed: STM,I" used to shift the columns, on stdout and in
+    # the --output file alike
+    comma = tmp_path / "m,1.efp"
+    save_instance(make_fig1(), comma)
+    craft_relaxations(monkeypatch, {"STM": None, "I": None, "L": 1.0, "P": 1.0, "U": 1.0})
+    out = tmp_path / "relax.csv"
+    assert main(["relax", str(comma), fig1_path]) == 0
+    assert main(["relax", str(comma), fig1_path, "--output", str(out)]) == 0
+    for text in (capsys.readouterr().out, out.read_text()):
+        header, *rows = csv.reader(text.splitlines())
+        assert len(header) == 7 and all(len(row) == 7 for row in rows)
+        assert [row[0] for row in rows] == ["m,1", "fig1"]
+        assert [row[-1] for row in rows] == ["failed: STM,I"] * 2
+
+
+@pytest.mark.parametrize(
+    "args, path",
+    [
+        (["generate", "--model", "popularity", "--n", "8", "--output", "{missing}"],
+         "{missing}"),
+        (["relax", "{fig1}", "--output", "{missing}"], "{missing}"),
+        (["solve", "{directory}"], "{directory}"),
+        (["solve", "{not_utf8}"], "{not_utf8}"),
+    ],
+    ids=["generate-output", "relax-output", "solve-directory", "solve-not-utf8"],
+)
+def test_file_errors_exit_1_naming_the_path(args, path, fig1_path, tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.efp"
+    not_utf8.write_bytes("EFP 1\nitems 1\nbidders 1\nedge 1 1 4 \u00e9\n".encode("latin-1"))
+    paths = {"missing": tmp_path / "missing" / "x", "fig1": fig1_path,
+             "directory": tmp_path, "not_utf8": not_utf8}
+    assert main([arg.format(**paths) for arg in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("efp: error: ") and err.count("\n") == 1, err
+    assert path.format(**paths) in err
+
+
 def test_find_strict_targets_are_the_solvers(capsys):
     from efp.solver import STRICT_TARGETS
 

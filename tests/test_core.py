@@ -12,7 +12,7 @@ from efp.core import (
     derive_constants,
     validate_instance,
 )
-from efp.generators import SeededRng
+from efp.generators import MODELS, SeededRng, generate, preset, smallest_preset_size
 
 from conftest import FIG1_EDGES, random_instance
 
@@ -117,5 +117,22 @@ def test_isclose_tolerance(fig1):
 
 def test_adjacency_views(fig1):
     assert fig1.by_bidder[3] == ((1, 6.0), (2, 2.0))
-    assert fig1.by_item[0] == ((0, 4.0), (1, 5.0), (2, 6.0))
+    assert fig1.matrix[0].tolist() == [4.0, 5.0, 6.0, 0.0]
     assert list(fig1.sorted_edges())[0] == (0, 0, 4.0)
+
+
+def test_matrix_is_the_valuations_densified_once():
+    rng = SeededRng(11)
+    markets = [generate(model, preset(model, n), 0)
+               for model in MODELS for n in (smallest_preset_size(model), 9)]
+    markets += [random_instance(rng, 1 + rng.randint(6), 1 + rng.randint(6))
+                for _ in range(20)]
+    markets.append(validate_instance(2, 3, []))
+    for inst in markets:
+        V = inst.matrix
+        assert V.shape == (inst.num_items, inst.num_bidders)
+        assert V.tolist() == [[inst.value(i, b) for b in range(inst.num_bidders)]
+                              for i in range(inst.num_items)]
+        assert inst.matrix is V  # cached: built at most once per instance
+        with pytest.raises(ValueError, match="read-only"):
+            V[0, 0] = 1.0

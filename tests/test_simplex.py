@@ -1157,3 +1157,18 @@ def test_deadline_stops_the_lp():
     child0 = lp.solve(*_fixed(lp, j, 0.0))
     child1 = lp.solve(*_fixed(lp, j, 1.0), start_from=child0, deadline=past)
     assert child1.status == "time-limit"
+
+
+@pytest.mark.parametrize(
+    "senses, lb, message",
+    [
+        (["<=", "<"], [0.0, 0.0], "unknown constraint sense '<'"),
+        (["<=", ">="], [0.0, -np.inf], "all variables need finite lower bounds"),
+    ],
+    ids=["unknown-sense", "minus-inf-lower-bound"],
+)
+def test_solver_rejects_bad_input(senses, lb, message):
+    with pytest.raises(ValueError, match=message):
+        SimplexSolver(
+            np.ones(2), np.eye(2), senses, np.ones(2), np.array(lb), np.full(2, np.inf)
+        )
